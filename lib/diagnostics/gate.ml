@@ -63,9 +63,10 @@ let default_checks ?(overrides = []) tolerance =
       absolute = 0.0;
     };
     {
-      (* Dense triangular-solve calls per mixer solve (one per blocked
-         panel call) — the multi-RHS clustering win; creeping back up
-         means the sweep fell back to point-at-a-time solves. *)
+      (* Dense preconditioner solve passes per mixer solve: one per
+         block-inverse sweep apply (every grid point's column is
+         counted separately in lu.dense_solve_columns); creeping back
+         up means the sweep fell back to point-at-a-time solves. *)
       metric = "mixer.lu_dense_solves";
       path = [ "mixer"; "telemetry"; "counters"; "lu.dense_solves" ];
       direction = Lower_better;

@@ -73,6 +73,24 @@ let axpy a (x : vec) (y : vec) =
       (Bigarray.Array1.unsafe_get y i +. (a *. Bigarray.Array1.unsafe_get x i))
   done
 
+(* Fused MGS step: y <- y + a*x, returning z.y accumulated over the
+   updated y in the same sequential order as [dot]. [z] is read after
+   [y.(i)] is written, so the aliased [z == y] call returns the squared
+   norm of the updated vector. *)
+let axpy_dot a (x : vec) (y : vec) (z : vec) =
+  check_same_dim x y;
+  check_same_dim z y;
+  let n = Bigarray.Array1.dim x in
+  let s = ref 0.0 in
+  for i = 0 to n - 1 do
+    let yi =
+      Bigarray.Array1.unsafe_get y i +. (a *. Bigarray.Array1.unsafe_get x i)
+    in
+    Bigarray.Array1.unsafe_set y i yi;
+    s := !s +. (Bigarray.Array1.unsafe_get z i *. yi)
+  done;
+  !s
+
 let scale_ip a (x : vec) =
   let n = Bigarray.Array1.dim x in
   for i = 0 to n - 1 do

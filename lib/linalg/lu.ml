@@ -182,7 +182,37 @@ let det f =
   done;
   !d
 
-let inverse f = solve_mat f (Mat.identity (size f))
+(* Row j of [dst] first holds column j of A⁻¹: the permuted unit
+   vector P·e_j, substituted in place with the same arithmetic as
+   [solve_into] on e_j. One in-place transpose then turns the rows into
+   columns, so nothing is allocated. *)
+let inverse_into f (dst : Mat.t) =
+  let n = size f in
+  if dst.Mat.rows <> n || dst.Mat.cols <> n then
+    invalid_arg "Lu.inverse_into: dimension mismatch";
+  if dst.Mat.data == f.lu.Mat.data then
+    invalid_arg "Lu.inverse_into: aliased storage";
+  let data = dst.Mat.data and perm = f.perm in
+  for j = 0 to n - 1 do
+    let rb = j * n in
+    for i = 0 to n - 1 do
+      Array.unsafe_set data (rb + i)
+        (if Array.unsafe_get perm i = j then 1.0 else 0.0)
+    done;
+    substitute_column f.lu.Mat.data n data rb
+  done;
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      let t = Array.unsafe_get data ((i * n) + j) in
+      Array.unsafe_set data ((i * n) + j) (Array.unsafe_get data ((j * n) + i));
+      Array.unsafe_set data ((j * n) + i) t
+    done
+  done
+
+let inverse f =
+  let m = Mat.create (size f) (size f) in
+  inverse_into f m;
+  m
 
 let solve_dense a b = solve (factor a) b
 

@@ -53,6 +53,15 @@ val det : t -> float
 
 val inverse : t -> Mat.t
 
+val inverse_into : t -> Mat.t -> unit
+(** [inverse_into lu dst] overwrites the [n]x[n] matrix [dst] with the
+    inverse of the factored matrix, allocating nothing. Column [j] is
+    computed with exactly the arithmetic of {!solve_into} on the unit
+    vector e_j, so the result is bitwise equal to {!inverse}. [dst] must
+    not be the factorization's own storage (as after
+    {!factor_in_place}). Ticks no solve counter.
+    @raise Invalid_argument on a dimension mismatch or aliased storage. *)
+
 val solve_dense : Mat.t -> Vec.t -> Vec.t
 (** One-shot convenience: factor then solve. *)
 

@@ -89,68 +89,41 @@ let t1_in_diag = function
   | Assemble.Central_t1 | Assemble.Spectral_t1 | Assemble.Spectral_both -> false
 
 (* Reusable state for the block forward-substitution sweep: the dense
-   per-point diagonal factors and the apply buffers. The staging
-   matrices are owned by their factorizations after a build
-   ([Lu.factor_in_place]); a rebuild restamps and refactors them in
-   place, so the np dense blocks are allocated exactly once per solve.
-
-   The apply runs over precomputed wavefront [levels] of the sweep's
-   dependency DAG — for the backward scheme the anti-diagonals i+j = l
-   (every point's lower neighbours live on level l−1), otherwise whole
-   t2-rows. Points inside a level are independent, so their right-hand
-   sides are gathered into a contiguous column panel and each distinct
-   dense factor is applied to its run of columns in one blocked
-   multi-RHS call. [factor_id.(p)] names the point whose factorization
-   block [p] uses ([p] itself when unshared); [exact] records whether
-   every factor was built from its own point's Jacobian (as opposed to
-   a drift-clustered representative's). *)
+   per-point diagonal inverses and the apply buffers. A (re)build
+   stamps D_p into the shared [stage] matrix, factors it in place and
+   writes D_p⁻¹ into [mats.(p)], so the np dense blocks are allocated
+   exactly once per workspace. [factor_id.(p)] names the point whose
+   inverse block [p] uses ([p] itself when unshared); [exact] records
+   whether every inverse was built from its own point's Jacobian (as
+   opposed to a drift-clustered representative's). *)
 type sweep_cache = {
   sc_n : int;
   sc_np : int;
   sc_n1 : int;
   sc_t1d : bool;  (* t1 coupling inside the diagonal (backward scheme) *)
-  mats : Linalg.Mat.t array;
-  mutable factors : Linalg.Lu.t array;  (* [||] until first build *)
-  factor_id : int array;  (* np: representative point of block p's factor *)
+  mats : Linalg.Mat.t array;  (* np: D_p⁻¹ of every representative p *)
+  stage : Linalg.Mat.t;  (* n×n: D_p stamped and LU-factored in place *)
+  mutable built : bool;  (* false until the first build *)
+  factor_id : int array;  (* np: representative point of block p's inverse *)
   mutable exact : bool;
-  levels : int array array;  (* wavefront levels of point indices *)
-  level_order : int array array;
-  (* the same levels with each level's points stably reordered so
-     points sharing a factor sit adjacent — the panel grouping order;
-     recomputed at every factor (re)build. Points inside a level are
-     mutually independent, so any order is bitwise equivalent. *)
   sx : Linalg.Kernel.vec;  (* np*n sweep result, returned to GMRES *)
-  panel_b : Vec.t;  (* max-width*n gathered right-hand-side columns *)
-  panel_x : Vec.t;  (* max-width*n panel solutions *)
-  cw : Linalg.Kernel.vec;  (* np*n scratch: C_p v_p for the matrix-free op *)
-  mutable built_gvals : float array array;  (* G values at last (re)factor *)
-  mutable built_cvals : float array array;  (* C values at last (re)factor *)
+  rhs : Vec.t;  (* n: one point's right-hand side inside the sweep *)
+  cw : Linalg.Kernel.vec;
+  (* np*n scratch: C_p v_p for the matrix-free op, and the sweep's
+     lower-neighbour couplings C_p x_p (the two never overlap in time:
+     each writes every slot it later reads within one call) *)
+  mutable built_g : Sparse.Csr.t array;  (* G at last (re)factor: pattern + copied values *)
+  mutable built_c : Sparse.Csr.t array;  (* C at last (re)factor *)
   row_scale : float array;  (* np*n: max |D_p row| at last (re)factor *)
   mutable built_extra_diag : float;  (* nan until first build *)
-  mutable stale : bool;  (* some factors lag the current Jacobian *)
+  mutable stale : bool;  (* some inverses lag the current Jacobian *)
 }
-
-(* Wavefront levels: for the backward scheme point (i,j) depends on
-   (i−1,j) and (i,j−1) (periodic wraps dropped), so the anti-diagonals
-   i+j = l are mutually independent and level l only reads level l−1;
-   the other schemes couple only through (i,j−1) and the levels are
-   whole t2-rows. Points inside a level are listed in increasing i,
-   i.e. in increasing lexicographic point index. *)
-let sweep_levels (g : Grid.t) ~t1d =
-  let n1 = g.Grid.n1 and n2 = g.Grid.n2 in
-  if t1d then
-    Array.init (n1 + n2 - 1) (fun l ->
-        let i_lo = max 0 (l - n2 + 1) and i_hi = min (n1 - 1) l in
-        Array.init (i_hi - i_lo + 1) (fun k ->
-            let i = i_lo + k in
-            ((l - i) * n1) + i))
-  else Array.init n2 (fun j -> Array.init n1 (fun i -> (j * n1) + i))
 
 let csr_values_equal (a : Sparse.Csr.t) (b : Sparse.Csr.t) =
   let va = a.Sparse.Csr.values and vb = b.Sparse.Csr.values in
   let len = Array.length va in
   len = Array.length vb
-  && a.Sparse.Csr.col_idx = b.Sparse.Csr.col_idx
+  && Sparse.Csr.same_pattern a b
   &&
   let ok = ref true and i = ref 0 in
   while !ok && !i < len do
@@ -204,11 +177,6 @@ let make_workspace scheme sys (g : Grid.t) =
   let n = sys.Assemble.size in
   let np = Grid.points g in
   let big = np * n in
-  let t1d = t1_in_diag scheme in
-  let levels = sweep_levels g ~t1d in
-  let max_width =
-    Array.fold_left (fun acc l -> max acc (Array.length l)) 1 levels
-  in
   {
     asm = Assemble.workspace scheme sys g;
     gmres_ws = None;
@@ -221,19 +189,17 @@ let make_workspace scheme sys (g : Grid.t) =
         sc_n = n;
         sc_np = np;
         sc_n1 = g.Grid.n1;
-        sc_t1d = t1d;
+        sc_t1d = t1_in_diag scheme;
         mats = Array.init np (fun _ -> Linalg.Mat.create n n);
-        factors = [||];
+        stage = Linalg.Mat.create n n;
+        built = false;
         factor_id = Array.make np 0;
         exact = false;
-        levels;
-        level_order = Array.map Array.copy levels;
         sx = Linalg.Kernel.create big;
-        panel_b = Array.make (max_width * n) 0.0;
-        panel_x = Array.make (max_width * n) 0.0;
+        rhs = Array.make n 0.0;
         cw = Linalg.Kernel.create big;
-        built_gvals = [||];  (* sized at the first build (nnz unknown here) *)
-        built_cvals = [||];
+        built_g = [||];  (* sized at the first build (no Jacobian here) *)
+        built_c = [||];
         row_scale = Array.make big 0.0;
         built_extra_diag = nan;
         stale = false;
@@ -243,8 +209,8 @@ let make_workspace scheme sys (g : Grid.t) =
   }
 
 (* Can a retained workspace serve a new solve of this shape? The big
-   buffers, dense staging matrices and wavefront levels all depend only
-   on (n, np, n1, scheme-diagonal-structure). *)
+   buffers and dense blocks depend only on (n, np, n1,
+   scheme-diagonal-structure). *)
 let workspace_fits ws scheme sys (g : Grid.t) =
   let c = ws.sweep in
   c.sc_n = sys.Assemble.size
@@ -260,7 +226,7 @@ let workspace_fits ws scheme sys (g : Grid.t) =
    previously ran on this domain. *)
 let rebind_workspace ws scheme sys (g : Grid.t) =
   ws.asm <- Assemble.workspace scheme sys g;
-  ws.sweep.factors <- [||];
+  ws.sweep.built <- false;
   ws.sweep.exact <- false;
   ws.sweep.built_extra_diag <- nan;
   ws.sweep.stale <- false;
@@ -283,9 +249,9 @@ let gmres_workspace ws ~restart ~n =
 let sweep_scale_c scheme (g : Grid.t) =
   (if t1_in_diag scheme then 1.0 /. g.Grid.h1 else 0.0) +. (1.0 /. g.Grid.h2)
 
-(* Stamp and factor the dense diagonal block of one grid point,
-   D_p = (1/h1 + 1/h2)·C_p + G_p (+ extra_diag·I), recording the
-   Jacobian values and dense row scales the factor was built from (the
+(* Stamp, factor and invert the dense diagonal block of one grid point,
+   D_p = (1/h1 + 1/h2)·C_p + G_p (+ extra_diag·I), into [mats.(p)],
+   recording the Jacobian and dense row scales it was built from (the
    reference state for {!block_drifted}). [extra_diag] adds the
    pseudo-transient loading so the preconditioner tracks the loaded
    Jacobian. *)
@@ -293,15 +259,15 @@ let factor_sweep_point cache scheme (g : Grid.t) ~jacs ~extra_diag p =
   let n = cache.sc_n in
   let scale_c = sweep_scale_c scheme g in
   let gp, cp = jacs.(p) in
-  let d = cache.mats.(p) in
+  let d = cache.stage in
   Array.fill d.Linalg.Mat.data 0 (n * n) 0.0;
   for i = 0 to n - 1 do
     Sparse.Csr.iter_row cp i (fun j v -> Linalg.Mat.add_entry d i j (scale_c *. v));
     Sparse.Csr.iter_row gp i (fun j v -> Linalg.Mat.add_entry d i j v);
     if extra_diag <> 0.0 then Linalg.Mat.add_entry d i i extra_diag
   done;
-  cache.built_gvals.(p) <- Array.copy gp.Sparse.Csr.values;
-  cache.built_cvals.(p) <- Array.copy cp.Sparse.Csr.values;
+  cache.built_g.(p) <- { gp with Sparse.Csr.values = Array.copy gp.Sparse.Csr.values };
+  cache.built_c.(p) <- { cp with Sparse.Csr.values = Array.copy cp.Sparse.Csr.values };
   for i = 0 to n - 1 do
     let m = ref 0.0 in
     for j = 0 to n - 1 do
@@ -309,21 +275,23 @@ let factor_sweep_point cache scheme (g : Grid.t) ~jacs ~extra_diag p =
     done;
     cache.row_scale.((p * n) + i) <- Float.max !m 1e-300
   done;
-  Linalg.Lu.factor_in_place d
+  Linalg.Lu.inverse_into (Linalg.Lu.factor_in_place d) cache.mats.(p)
 
 (* Is point [p]'s Jacobian within the refresh tolerance of the build
    snapshot stored at index [snap]? Entry-wise against the snapshot
    values, scaled by the magnitude of the stamped dense row the entry
    lands in. Phrased as "keep only when provably close" so a NaN entry
    reads as drifted, and a pattern change (the per-point rebuild
-   fallback swapped the CSR) reads as drifted too. With [snap = p] this
-   is the classic lagged-factor drift test; with [snap] a cluster
-   representative it is the clustering criterion. *)
+   fallback swapped the CSR) reads as drifted too — even at equal nnz,
+   where the value scan alone would compare misaligned entries. With
+   [snap = p] this is the classic lagged-factor drift test; with [snap]
+   a cluster representative it is the clustering criterion. *)
 let drifted_vs ?(tol = refresh_tol) cache scheme (g : Grid.t) ~jacs ~snap p =
   let gp, cp = jacs.(p) in
-  let bg = cache.built_gvals.(snap) and bc = cache.built_cvals.(snap) in
-  let gv = gp.Sparse.Csr.values and cv = cp.Sparse.Csr.values in
-  if Array.length bg <> Array.length gv || Array.length bc <> Array.length cv
+  let bg = cache.built_g.(snap) and bc = cache.built_c.(snap) in
+  if
+    Array.length bg.Sparse.Csr.values <> Array.length gp.Sparse.Csr.values
+    || Array.length bc.Sparse.Csr.values <> Array.length cp.Sparse.Csr.values
   then true
   else begin
     let n = cache.sc_n in
@@ -344,9 +312,12 @@ let drifted_vs ?(tol = refresh_tol) cache scheme (g : Grid.t) ~jacs ~snap p =
         incr i
       done
     in
-    scan gp bg 1.0;
-    if !close then scan cp bc scale_c;
-    not !close
+    scan gp bg.Sparse.Csr.values 1.0;
+    if !close then scan cp bc.Sparse.Csr.values scale_c;
+    (* Equal nnz does not make the values comparable; the pattern is
+       confirmed only for a would-be match, so rejecting a cluster
+       representative stays O(first differing entry). *)
+    not (!close && Sparse.Csr.same_pattern bg gp && Sparse.Csr.same_pattern bc cp)
   end
 
 (* Has block [p]'s Jacobian moved, relative to what its dense factor
@@ -375,58 +346,56 @@ let cluster_window = 64
    representatives. *)
 let cluster_tol = 0.05
 
-(* Full (re)build of the sweep's dense factors from the current
+(* Full (re)build of the sweep's dense inverses from the current
    per-point Jacobian values.
 
-   [cluster = false] builds one factor per point (bitwise the classic
-   preconditioner). [cluster = true] additionally shares factors
-   between points whose Jacobians agree within the drift tolerance: the
-   grid is scanned in point order, each point compared against the most
-   recent representatives, and matching points adopt the
-   representative's factor, snapshot and row scales. The sweep then
-   applies each distinct factor to a whole panel of columns per
-   wavefront level instead of one dense solve per point. Clustered
-   factors are a (slightly) weaker preconditioner, so the cache is
-   marked non-exact and stale — the stall path rebuilds exact. The
-   uniform replicated-seed fast path is unchanged and exact. *)
+   [cluster = false] builds one inverse per point. [cluster = true]
+   additionally shares inverses between points whose Jacobians agree
+   within the drift tolerance: the grid is scanned in point order, each
+   point compared against the most recent representatives, and
+   matching points adopt the representative's inverse, snapshot and row
+   scales. Clustered inverses are a (slightly) weaker preconditioner,
+   so the cache is marked non-exact and stale — the stall path rebuilds
+   exact. The uniform replicated-seed fast path is unchanged and
+   exact. *)
 let build_sweep_factors cache scheme (g : Grid.t) ~jacs ~extra_diag ~cluster =
-  if Array.length cache.built_gvals = 0 then begin
-    cache.built_gvals <- Array.make cache.sc_np [||];
-    cache.built_cvals <- Array.make cache.sc_np [||]
+  let np = cache.sc_np in
+  if Array.length cache.built_g = 0 then begin
+    (* Placeholders only: every build overwrites all np snapshots. *)
+    cache.built_g <- Array.make np (fst jacs.(0));
+    cache.built_c <- Array.make np (snd jacs.(0))
   end;
   let factor_point = factor_sweep_point cache scheme g ~jacs ~extra_diag in
-  let np = cache.sc_np in
+  let n = cache.sc_n in
+  (* Point [p] adopts representative [r]'s inverse and build state.
+     Sharing the snapshot CSRs is sound because a later refactor
+     replaces them with fresh copies instead of mutating. *)
+  let adopt r p =
+    cache.factor_id.(p) <- r;
+    cache.built_g.(p) <- cache.built_g.(r);
+    cache.built_c.(p) <- cache.built_c.(r);
+    Array.blit cache.row_scale (r * n) cache.row_scale (p * n) n
+  in
   (if blocks_uniform jacs then begin
-     (* Replicated iterate: one dense factorization shared by all np
-        points ([Lu.solve_into] never mutates the factors). The built
-        value snapshots and row scales are replicated too; sharing the
-        snapshot arrays is sound because a later refactor replaces them
-        with fresh copies instead of mutating. *)
+     (* Replicated iterate: one dense inverse shared by all np points. *)
      Telemetry.count "mpde.precond.shared_builds";
-     let f0 = factor_point 0 in
-     cache.factors <- Array.make np f0;
-     Array.fill cache.factor_id 0 np 0;
+     factor_point 0;
+     cache.factor_id.(0) <- 0;
      for p = 1 to np - 1 do
-       cache.built_gvals.(p) <- cache.built_gvals.(0);
-       cache.built_cvals.(p) <- cache.built_cvals.(0)
-     done;
-     let n = cache.sc_n in
-     for p = 1 to np - 1 do
-       Array.blit cache.row_scale 0 cache.row_scale (p * n) n
+       adopt 0 p
      done;
      cache.exact <- true;
      cache.stale <- false
    end
    else if not cluster then begin
-     cache.factors <- Array.init np factor_point;
      for p = 0 to np - 1 do
+       factor_point p;
        cache.factor_id.(p) <- p
      done;
      cache.exact <- true;
      cache.stale <- false
    end
    else begin
-     let n = cache.sc_n in
      let recent = Array.make cluster_window 0 in
      let head = ref 0 and count = ref 0 in
      let push r =
@@ -446,21 +415,14 @@ let build_sweep_factors cache scheme (g : Grid.t) ~jacs ~extra_diag ~cluster =
        !found
      in
      let reps = ref 1 in
-     let f0 = factor_point 0 in
-     cache.factors <- Array.make np f0;
+     factor_point 0;
      cache.factor_id.(0) <- 0;
      push 0;
      for p = 1 to np - 1 do
        let r = find_rep p in
-       if r >= 0 then begin
-         cache.factors.(p) <- cache.factors.(r);
-         cache.built_gvals.(p) <- cache.built_gvals.(r);
-         cache.built_cvals.(p) <- cache.built_cvals.(r);
-         Array.blit cache.row_scale (r * n) cache.row_scale (p * n) n;
-         cache.factor_id.(p) <- cache.factor_id.(r)
-       end
+       if r >= 0 then adopt r p
        else begin
-         cache.factors.(p) <- factor_point p;
+         factor_point p;
          cache.factor_id.(p) <- p;
          push p;
          incr reps
@@ -470,57 +432,44 @@ let build_sweep_factors cache scheme (g : Grid.t) ~jacs ~extra_diag ~cluster =
      cache.exact <- false;
      cache.stale <- true
    end);
-  (* Regroup each wavefront level so columns sharing a factor are
-     adjacent: one blocked panel call per distinct factor per level.
-     The sort is stable, so unshared builds (factor_id.(p) = p,
-     already increasing within a level) keep the lexicographic order
-     and uniform builds (all ids 0) are untouched. *)
-  let fid = cache.factor_id in
-  Array.iteri
-    (fun l level ->
-      let order = cache.level_order.(l) in
-      Array.blit level 0 order 0 (Array.length level);
-      Array.stable_sort (fun a b -> compare fid.(a) fid.(b)) order)
-    cache.levels;
+  cache.built <- true;
   cache.built_extra_diag <- extra_diag
 
 (* Selective refresh under [precond_lag]: refactor only the blocks
    that drifted since they were last factored; quiet blocks keep their
-   (slightly stale) dense factors. *)
+   (slightly stale) dense inverses. *)
 let refresh_sweep_factors cache scheme (g : Grid.t) ~jacs ~extra_diag ~cluster =
   Telemetry.span "mpde.precond.refresh" @@ fun () ->
-  if not cache.exact then begin
-    (* Clustered factors: each point's snapshot is its representative's
-       build state, so drifting against it means the point left its
-       cluster. Refactoring a member in place would corrupt the factor
-       the rest of its cluster still shares, so the first drift
-       anywhere forces a full re-clustered rebuild. *)
+  let any_drifted () =
     let drifted = ref false and p = ref 0 in
     while (not !drifted) && !p < cache.sc_np do
       if block_drifted cache scheme g ~jacs !p then drifted := true;
       incr p
     done;
-    if !drifted then build_sweep_factors cache scheme g ~jacs ~extra_diag ~cluster
+    !drifted
+  in
+  if not cache.exact then begin
+    (* Clustered inverses: each point's snapshot is its
+       representative's build state, so drifting against it means the
+       point left its cluster. Refactoring a member in place would
+       corrupt the inverse the rest of its cluster still shares, so the
+       first drift anywhere forces a full re-clustered rebuild. *)
+    if any_drifted () then build_sweep_factors cache scheme g ~jacs ~extra_diag ~cluster
     (* otherwise the cache stays stale by construction (clustered) *)
   end
-  else if cache.sc_np > 1 && cache.factors.(1) == cache.factors.(0) then begin
-    (* The last build shared one factorization (replicated iterate)
-       backed by [mats.(0)]; refactoring any single block in place
-       would corrupt the factor the others still reference, so the
-       first drift anywhere forces a full unshared rebuild. *)
-    let drifted = ref false and p = ref 0 in
-    while (not !drifted) && !p < cache.sc_np do
-      if block_drifted cache scheme g ~jacs !p then drifted := true;
-      incr p
-    done;
-    if !drifted then build_sweep_factors cache scheme g ~jacs ~extra_diag ~cluster
+  else if cache.sc_np > 1 && cache.factor_id.(1) = 0 then begin
+    (* The last build shared one inverse (replicated iterate) held in
+       [mats.(0)]; refactoring any single block in place would corrupt
+       the inverse the others still reference, so the first drift
+       anywhere forces a full unshared rebuild. *)
+    if any_drifted () then build_sweep_factors cache scheme g ~jacs ~extra_diag ~cluster
     else cache.stale <- true
   end
   else begin
     let refreshed = ref 0 in
     for p = 0 to cache.sc_np - 1 do
       if block_drifted cache scheme g ~jacs p then begin
-        cache.factors.(p) <- factor_sweep_point cache scheme g ~jacs ~extra_diag p;
+        factor_sweep_point cache scheme g ~jacs ~extra_diag p;
         incr refreshed
       end
     done;
@@ -530,83 +479,64 @@ let refresh_sweep_factors cache scheme (g : Grid.t) ~jacs ~extra_diag ~cluster =
   end
 
 (* Block forward-substitution sweep: apply M⁻¹ where M keeps the
-   diagonal blocks and the two backward-difference neighbour blocks,
-   *dropping the periodic wraps* (i = 0 and j = 0 rows lose their
-   wrapped neighbour). Lexicographic order then makes M block
-   lower-triangular, solvable in one pass with the cached dense
-   factors. Returns the cache's shared output buffer (GMRES copies what
+   diagonal blocks and the lower-neighbour blocks — (i−1,j) and
+   (i,j−1) for the backward scheme, (i,j−1) only otherwise — *dropping
+   the periodic wraps* (i = 0 and j = 0 rows lose their wrapped
+   neighbour). Lexicographic order then makes M block lower-triangular,
+   solvable in one pass:
+     x_p = D_p⁻¹·(r_p + C_{i−1,j}·x_{i−1,j}/h1 + C_{i,j−1}·x_{i,j−1}/h2).
+   Each point costs n independent row dot-products against its cached
+   inverse, and each coupling y_q = C_q·x_q is computed once (only when
+   q has a successor) and read by both successors. Counts one
+   [lu.dense_solves] per apply and one [lu.dense_solve_columns] per
+   point. Returns the cache's shared output buffer (GMRES copies what
    it keeps). *)
-let sweep_apply cache scheme (g : Grid.t) ~jacs (r : Linalg.Kernel.vec) =
+let sweep_apply cache (g : Grid.t) ~jacs (r : Linalg.Kernel.vec) =
   Telemetry.count "mpde.precond.sweeps";
-  let n = cache.sc_n in
-  let t1_in_diag = t1_in_diag scheme in
-  let n1 = g.Grid.n1 in
+  Telemetry.count "lu.dense_solves";
+  Telemetry.count ~by:cache.sc_np "lu.dense_solve_columns";
+  let n = cache.sc_n and n1 = cache.sc_n1 and np = cache.sc_np in
+  let t1d = cache.sc_t1d in
   let inv_h1 = 1.0 /. g.Grid.h1 and inv_h2 = 1.0 /. g.Grid.h2 in
-  let x = cache.sx in
-  let pb = cache.panel_b and px = cache.panel_x in
-  let fid = cache.factor_id in
-  (* Accumulate one lower-neighbour coupling into panel column [dst],
-     pb += inv_h · C_q x_q, reading the CSR arrays directly — this runs
-     n·nnz(C) times per sweep, too hot for the iter_row closure (and
-     the reciprocal is hoisted to a multiply). The neighbour state
-     lives on an earlier wavefront level, already scattered into [x]. *)
-  let couple (c : Sparse.Csr.t) inv_h q dst =
-    let rp = c.Sparse.Csr.row_ptr
-    and ci = c.Sparse.Csr.col_idx
-    and cv = c.Sparse.Csr.values in
-    let xb = q * n in
+  let x = cache.sx and y = cache.cw and rhs = cache.rhs in
+  for p = 0 to np - 1 do
+    let i = p mod n1 in
+    let base = p * n in
+    let west = t1d && i > 0 and south = p >= n1 in
     for row = 0 to n - 1 do
-      let s = ref 0.0 in
-      for k = rp.(row) to rp.(row + 1) - 1 do
+      let s = ref (Bigarray.Array1.unsafe_get r (base + row)) in
+      if west then
+        s := !s +. (inv_h1 *. Bigarray.Array1.unsafe_get y (base - n + row));
+      if south then
         s :=
-          !s
-          +. (Array.unsafe_get cv k
-              *. Bigarray.Array1.unsafe_get x (xb + Array.unsafe_get ci k))
-      done;
-      pb.(dst + row) <- pb.(dst + row) +. (inv_h *. !s)
-    done
-  in
-  (* Wavefront sweep: gather every level's right-hand sides into a
-     contiguous column panel, then apply each distinct dense factor to
-     its whole run of columns in one blocked multi-RHS solve. Per
-     column the arithmetic (gather order, coupling order, substitution)
-     is exactly the lexicographic single-point sweep's, so the result
-     is bitwise identical — only the solve granularity changes. *)
-  let nlev = Array.length cache.level_order in
-  for l = 0 to nlev - 1 do
-    let level = cache.level_order.(l) in
-    let w = Array.length level in
-    for c = 0 to w - 1 do
-      let p = level.(c) in
-      let dst = c * n in
-      let src = p * n in
-      for row = 0 to n - 1 do
-        Array.unsafe_set pb (dst + row) (Bigarray.Array1.unsafe_get r (src + row))
-      done;
-      let i = p mod n1 and j = p / n1 in
-      (* Move the lower-neighbour couplings (−C/h) to the right side. *)
-      if t1_in_diag && i > 0 then couple (snd jacs.(p - 1)) inv_h1 (p - 1) dst;
-      if j > 0 then couple (snd jacs.(p - n1)) inv_h2 (p - n1) dst
+          !s +. (inv_h2 *. Bigarray.Array1.unsafe_get y (base - (n1 * n) + row));
+      Array.unsafe_set rhs row !s
     done;
-    let c = ref 0 in
-    while !c < w do
-      let f = fid.(level.(!c)) in
-      let c2 = ref (!c + 1) in
-      while !c2 < w && fid.(level.(!c2)) = f do
-        incr c2
+    let d = cache.mats.(cache.factor_id.(p)).Linalg.Mat.data in
+    for row = 0 to n - 1 do
+      let db = row * n in
+      let s = ref 0.0 in
+      for k = 0 to n - 1 do
+        s := !s +. (Array.unsafe_get d (db + k) *. Array.unsafe_get rhs k)
       done;
-      Linalg.Lu.solve_many_into cache.factors.(level.(!c)) ~off:!c
-        ~cols:(!c2 - !c) pb px;
-      c := !c2
+      Bigarray.Array1.unsafe_set x (base + row) !s
     done;
-    for c = 0 to w - 1 do
-      let p = level.(c) in
-      let src = c * n in
-      let dst = p * n in
+    if (t1d && i + 1 < n1) || p + n1 < np then begin
+      let c = snd jacs.(p) in
+      let rp = c.Sparse.Csr.row_ptr
+      and ci = c.Sparse.Csr.col_idx
+      and cv = c.Sparse.Csr.values in
       for row = 0 to n - 1 do
-        Bigarray.Array1.unsafe_set x (dst + row) (Array.unsafe_get px (src + row))
+        let s = ref 0.0 in
+        for k = rp.(row) to rp.(row + 1) - 1 do
+          s :=
+            !s
+            +. (Array.unsafe_get cv k
+               *. Bigarray.Array1.unsafe_get x (base + Array.unsafe_get ci k))
+        done;
+        Bigarray.Array1.unsafe_set y (base + row) !s
       done
-    done
+    end
   done;
   x
 
@@ -761,14 +691,14 @@ let solve_linear ~ws ~linear_solver ~scheme ~precond_lag ~precond_cluster
          solution and M⁻¹ only steers GMRES); full rebuild when the
          loading changed, when lagging is off, or on a stall below. *)
       if
-        Array.length cache.factors = 0
+        (not cache.built)
         || (not precond_lag)
         || cache.built_extra_diag <> extra_diag
       then build ()
       else
         refresh_sweep_factors cache scheme g ~jacs ~extra_diag
           ~cluster:precond_cluster;
-      let precond = sweep_apply cache scheme g ~jacs in
+      let precond = sweep_apply cache g ~jacs in
       let result = run_gmres_ba ~restart ~max_iter ~tol ~precond op in
       if result.Sparse.Krylov.converged then result.Sparse.Krylov.x
       else if cache.stale then begin

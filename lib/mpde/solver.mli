@@ -55,20 +55,19 @@ type options = {
       (** overall deadline/iteration budget for the whole ladder climb;
           default [None] (unbounded) *)
   precond_lag : bool;
-      (** keep the sweep preconditioner's dense per-point LU factors
+      (** keep the sweep preconditioner's dense per-point block inverses
           across Newton iterations instead of rebuilding them for every
-          linear solve; on a GMRES stall with lagged factors the solver
+          linear solve; on a GMRES stall with lagged inverses the solver
           rebuilds once and retries before escalating. Affects only
           preconditioning (GMRES iteration counts), never the converged
           answer. Default true. *)
   precond_cluster : bool;
-      (** share one dense factor between grid points whose Jacobians
-          agree within the lag drift tolerance (drift-clustered build).
-          The sweep then applies each distinct factor to whole panels
-          of right-hand-side columns per wavefront level — on the mixer
-          the converged grid clusters to a handful of factors, cutting
-          both factorizations and dense-solve calls by orders of
-          magnitude. On a GMRES stall the solver rebuilds exact
+      (** share one dense block inverse between grid points whose
+          Jacobians agree within a tight drift tolerance
+          (drift-clustered build) — on the mixer the converged grid
+          clusters to a handful of representatives, cutting dense
+          factorizations by an order of magnitude. On a GMRES stall
+          the solver rebuilds exact
           (unclustered) and retries before escalating. Affects only
           preconditioning, never the converged answer. Default true. *)
   krylov_recycle : bool;
@@ -121,7 +120,7 @@ type solution = {
 
 type workspace
 (** Per-solve numeric state: assembly scratch, the sweep
-    preconditioner's dense staging matrices and factors, the GMRES
+    preconditioner's dense block inverses, the GMRES
     Krylov basis, and the Bigarray operator buffers. Owned by exactly
     one solve on one domain at a time. *)
 

@@ -6,6 +6,27 @@ type t = {
   values : float array;
 }
 
+(* Physical equality first: patterns are frozen, so a refreshed
+   matrix shares its arrays and the element scan is skipped. Clustered
+   preconditioner builds compare patterns across grid points (distinct
+   arrays) thousands of times per build, so the scan is a plain int
+   loop rather than polymorphic equality. *)
+let int_arrays_equal (a : int array) (b : int array) =
+  a == b
+  || Array.length a = Array.length b
+     &&
+     let ok = ref true and i = ref 0 in
+     while !ok && !i < Array.length a do
+       if Array.unsafe_get a !i <> Array.unsafe_get b !i then ok := false;
+       incr i
+     done;
+     !ok
+
+let same_pattern a b =
+  a.rows = b.rows && a.cols = b.cols
+  && int_arrays_equal a.row_ptr b.row_ptr
+  && int_arrays_equal a.col_idx b.col_idx
+
 let nnz m = m.row_ptr.(m.rows)
 
 (* Count-sort triplets by row, then sort each row segment by column and

@@ -34,6 +34,10 @@ val of_dense : ?drop_tol:float -> Linalg.Mat.t -> t
 
 val to_dense : t -> Linalg.Mat.t
 
+val same_pattern : t -> t -> bool
+(** Same dimensions, [row_ptr] and [col_idx]: the two matrices' values
+    arrays index the same entries. Equal nnz alone is not enough. *)
+
 val nnz : t -> int
 
 val get : t -> int -> int -> float

@@ -257,14 +257,19 @@ let gmres_ba ?(restart = 50) ?(max_iter = 500) ?(tol = 1e-10) ?precond ?budget
          let j = !k in
          let w = op (precond basis.(j)) in
          let hj = h.(j) in
-         (* Modified Gram-Schmidt ([w] may be the operator's shared
-            buffer — mutating it in place is fine, the normalized copy
-            below is what survives the next operator call). *)
+         (* Modified Gram-Schmidt, one pass over [w] per basis vector:
+            each fused step subtracts the projection on basis i and
+            returns the next coefficient (the squared norm after the
+            last), bitwise equal to the dot/axpy/nrm2 sequence. [w] may
+            be the operator's shared buffer — mutating it in place is
+            fine, the normalized copy below is what survives the next
+            operator call. *)
+         hj.(0) <- Kernel.dot basis.(0) w;
          for i = 0 to j do
-           hj.(i) <- Kernel.dot basis.(i) w;
-           Kernel.axpy (-.hj.(i)) basis.(i) w
+           let next = if i < j then basis.(i + 1) else w in
+           let d = Kernel.axpy_dot (-.hj.(i)) basis.(i) w next in
+           hj.(i + 1) <- (if i < j then d else sqrt d)
          done;
-         hj.(j + 1) <- Kernel.nrm2 w;
          if not (Float.is_finite hj.(j + 1)) then begin
            (* Poisoned column: solve with the j columns accepted so far. *)
            poisoned := true;

@@ -233,6 +233,149 @@ let test_lu_solve_many_validates () =
     (Invalid_argument "Lu.solve_many_into: panel dimension mismatch")
     (fun () -> Lu.solve_many_into f ~cols:3 b (Vec.create 9))
 
+(* ---------- explicit inverses ---------- *)
+
+let max_residual_vs_identity a x =
+  let n = a.Mat.rows in
+  let ax = Mat.mul a x in
+  let worst = ref 0.0 in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      let e = Mat.get ax i j -. if i = j then 1.0 else 0.0 in
+      worst := Float.max !worst (Float.abs e)
+    done
+  done;
+  !worst
+
+let test_lu_inverse_into_random () =
+  (* Well-conditioned (diagonally boosted) random blocks of the sweep's
+     size and a few others: A·X = I to 1e-12 absolute, and column j is
+     bitwise [solve_into] on the unit vector e_j. *)
+  let rand = lcg 2024 in
+  List.iter
+    (fun n ->
+      for _ = 1 to 5 do
+        let a =
+          Mat.init n n (fun i j ->
+              (10.0 *. rand ()) +. if i = j then 4.0 *. float_of_int n else 0.0)
+        in
+        let f = Lu.factor a in
+        let x = Mat.create n n in
+        Lu.inverse_into f x;
+        let r = max_residual_vs_identity a x in
+        if r > 1e-12 then Alcotest.failf "n=%d: |A·X − I| = %.3e > 1e-12" n r;
+        let e = Vec.create n and col = Vec.create n in
+        for j = 0 to n - 1 do
+          Array.fill e 0 n 0.0;
+          e.(j) <- 1.0;
+          Lu.solve_into f e col;
+          bits_equal "column = solve_into e_j" col
+            (Array.init n (fun i -> Mat.get x i j))
+        done
+      done)
+    [ 1; 2; 5; 13; 20 ]
+
+let mixer_diagonal_blocks () =
+  (* The sweep's own D_p = (1/h1 + 1/h2)·C_p + G_p at every point of a
+     converged 10x6 balanced-mixer surface. *)
+  let f_lo = 450e6 and fd = 15e3 in
+  let rf_signal, _ = Circuits.paper_rf_bitstream ~f_lo ~fd () in
+  let { Circuits.mna; _ } = Circuits.balanced_mixer ~f_lo ~rf_signal () in
+  let shear = Mpde.Shear.make ~fast_freq:f_lo ~slow_freq:fd in
+  let sol = Mpde.Solver.solve_mna ~shear ~n1:10 ~n2:6 mna in
+  let g = sol.Mpde.Solver.grid and sys = sol.Mpde.Solver.system in
+  let scale_c = (1.0 /. g.Mpde.Grid.h1) +. (1.0 /. g.Mpde.Grid.h2) in
+  Array.map
+    (fun (gp, cp) ->
+      let d = Sparse.Csr.to_dense gp in
+      let c = Sparse.Csr.to_dense cp in
+      Mat.init d.Mat.rows d.Mat.cols (fun i j ->
+          Mat.get d i j +. (scale_c *. Mat.get c i j)))
+    (Mpde.Assemble.point_jacobians sys g sol.Mpde.Solver.big_x)
+
+let test_lu_inverse_into_mixer_blocks () =
+  (* The mixer blocks mix conductances with C/h terms and unit source
+     rows, yet stay modestly conditioned (‖A‖∞·‖X‖∞ ≈ 2–3e2), so the
+     same 1e-12 absolute bound holds with a wide margin (observed
+     residuals are a few 1e-16). *)
+  let blocks = mixer_diagonal_blocks () in
+  Alcotest.(check int) "13 unknowns per point" 13 blocks.(0).Mat.rows;
+  Array.iteri
+    (fun p a ->
+      let n = a.Mat.rows in
+      let x = Mat.create n n in
+      Lu.inverse_into (Lu.factor a) x;
+      let r = max_residual_vs_identity a x in
+      if r > 1e-12 then Alcotest.failf "point %d: |A·X − I| = %.3e > 1e-12" p r)
+    blocks
+
+let test_lu_inverse_into_singular () =
+  (* [factor] + [inverse_into] raises [Singular] exactly when [factor]
+     alone does — a pivot just above the threshold still inverts to
+     finite entries — and never otherwise. *)
+  let cases =
+    [
+      ("rank one", Mat.of_arrays [| [| 1.0; 2.0 |]; [| 2.0; 4.0 |] |], true);
+      ( "zero column",
+        Mat.of_arrays
+          [| [| 1.0; 0.0; 3.0 |]; [| 2.0; 0.0; 1.0 |]; [| 5.0; 0.0; 2.0 |] |],
+        true );
+      ("pivot under tol", Mat.of_arrays [| [| 1.0; 0.0 |]; [| 0.0; 5e-301 |] |], true);
+      ("pivot over tol", Mat.of_arrays [| [| 1.0; 0.0 |]; [| 0.0; 2e-300 |] |], false);
+      ("needs pivoting", Mat.of_arrays [| [| 0.0; 1.0 |]; [| 1.0; 0.0 |] |], false);
+    ]
+  in
+  List.iter
+    (fun (name, a, singular) ->
+      let factor_raises =
+        match Lu.factor a with exception Lu.Singular _ -> true | _ -> false
+      in
+      let inverse_raises =
+        match
+          let x = Mat.create a.Mat.rows a.Mat.cols in
+          Lu.inverse_into (Lu.factor a) x;
+          x
+        with
+        | exception Lu.Singular _ -> true
+        | x ->
+            if not (Array.for_all Float.is_finite x.Mat.data) then
+              Alcotest.failf "%s: non-finite inverse" name;
+            false
+      in
+      Alcotest.(check bool) (name ^ ": factor") singular factor_raises;
+      Alcotest.(check bool) (name ^ ": inverse_into") singular inverse_raises)
+    cases
+
+let test_lu_inverse_into_no_alloc () =
+  (* The preconditioner rebuild calls this once per representative
+     block; it must allocate nothing. The first pair of readings
+     measures the cost of reading the counter itself. *)
+  let rand = lcg 5 in
+  let n = 13 in
+  let a =
+    Mat.init n n (fun i j -> rand () +. if i = j then 20.0 else 0.0)
+  in
+  let f = Lu.factor a and x = Mat.create n n in
+  Lu.inverse_into f x;
+  let m0 = Gc.minor_words () in
+  let m1 = Gc.minor_words () in
+  for _ = 1 to 100 do
+    Lu.inverse_into f x
+  done;
+  let m2 = Gc.minor_words () in
+  Alcotest.(check (float 0.0)) "minor words" (m1 -. m0) (m2 -. m1)
+
+let test_lu_inverse_into_validates () =
+  let f = Lu.factor (Mat.identity 3) in
+  Alcotest.check_raises "shape"
+    (Invalid_argument "Lu.inverse_into: dimension mismatch") (fun () ->
+      Lu.inverse_into f (Mat.create 3 2));
+  let a = Mat.identity 3 in
+  let fa = Lu.factor_in_place a in
+  Alcotest.check_raises "aliased"
+    (Invalid_argument "Lu.inverse_into: aliased storage") (fun () ->
+      Lu.inverse_into fa a)
+
 (* ---------- Bigarray kernels ---------- *)
 
 module Kernel = Linalg.Kernel
@@ -274,6 +417,31 @@ let test_kernel_bitwise_vs_vec () =
   Alcotest.(check bool) "is_finite" true (Kernel.is_finite z);
   Kernel.set z 5 Float.nan;
   Alcotest.(check bool) "is_finite nan" false (Kernel.is_finite z)
+
+let test_kernel_axpy_dot () =
+  (* One fused MGS pass must equal axpy-then-dot bit for bit, both for
+     a separate [z] (the next projection coefficient) and for the
+     aliased [z == y] squared norm that closes the sweep. *)
+  let rand = lcg 11 in
+  let n = 129 in
+  let xa = Array.init n (fun _ -> 100.0 *. rand ()) in
+  let ya = Array.init n (fun _ -> 100.0 *. rand ()) in
+  let za = Array.init n (fun _ -> 100.0 *. rand ()) in
+  let x = Kernel.of_array xa and z = Kernel.of_array za in
+  let y_ref = Kernel.of_array ya and y = Kernel.of_array ya in
+  Kernel.axpy (-0.375) x y_ref;
+  let d_ref = Kernel.dot z y_ref in
+  let d = Kernel.axpy_dot (-0.375) x y z in
+  bits_equal "y" (Kernel.to_array y_ref) (Kernel.to_array y);
+  bits_equal "z·y" [| d_ref |] [| d |];
+  Kernel.axpy 1.5 z y_ref;
+  let nn_ref = Kernel.dot y_ref y_ref in
+  let nn = Kernel.axpy_dot 1.5 z y y in
+  bits_equal "aliased y" (Kernel.to_array y_ref) (Kernel.to_array y);
+  bits_equal "aliased ‖y‖²" [| nn_ref |] [| nn |];
+  bits_equal "nrm2" [| Kernel.nrm2 y_ref |] [| sqrt nn |];
+  Alcotest.check_raises "shape" (Invalid_argument "Kernel: dimension mismatch")
+    (fun () -> ignore (Kernel.axpy_dot 1.0 x y (Kernel.create 3)))
 
 (* ---------- complex ---------- *)
 
@@ -389,6 +557,28 @@ let prop_kernel_dot_bitwise =
       && Int64.bits_of_float (Kernel.nrm2 x)
          = Int64.bits_of_float (Vec.norm2 a))
 
+let prop_kernel_axpy_dot_bitwise =
+  QCheck.Test.make ~count:100 ~name:"kernel: axpy_dot ≡ axpy then dot"
+    QCheck.(
+      make
+        Gen.(
+          quad (float_range (-5.0) 5.0)
+            (array_size (return 17) (float_range (-50.0) 50.0))
+            (array_size (return 17) (float_range (-50.0) 50.0))
+            (array_size (return 17) (float_range (-50.0) 50.0))))
+    (fun (a, xa, ya, za) ->
+      let x = Kernel.of_array xa and z = Kernel.of_array za in
+      let y1 = Kernel.of_array ya and y2 = Kernel.of_array ya in
+      Kernel.axpy a x y1;
+      let d1 = Kernel.dot z y1 in
+      let d2 = Kernel.axpy_dot a x y2 z in
+      let y3 = Kernel.of_array ya in
+      let n3 = Kernel.axpy_dot a x y3 y3 in
+      let same u v = Int64.bits_of_float u = Int64.bits_of_float v in
+      same d1 d2
+      && Array.for_all2 same (Kernel.to_array y1) (Kernel.to_array y2)
+      && same n3 (Kernel.dot y1 y1))
+
 let prop_mat_mul_assoc =
   QCheck.Test.make ~count:40 ~name:"mat: (ab)c = a(bc)"
     QCheck.(
@@ -439,11 +629,22 @@ let () =
             test_lu_solve_many_bitwise;
           Alcotest.test_case "solve_many_into validates" `Quick
             test_lu_solve_many_validates;
+          Alcotest.test_case "inverse_into random blocks" `Quick
+            test_lu_inverse_into_random;
+          Alcotest.test_case "inverse_into mixer blocks" `Quick
+            test_lu_inverse_into_mixer_blocks;
+          Alcotest.test_case "inverse_into singular" `Quick
+            test_lu_inverse_into_singular;
+          Alcotest.test_case "inverse_into allocates nothing" `Quick
+            test_lu_inverse_into_no_alloc;
+          Alcotest.test_case "inverse_into validates" `Quick
+            test_lu_inverse_into_validates;
         ] );
       ( "kernel",
         [
           Alcotest.test_case "roundtrip" `Quick test_kernel_roundtrip;
           Alcotest.test_case "bitwise vs Vec" `Quick test_kernel_bitwise_vs_vec;
+          Alcotest.test_case "axpy_dot bitwise" `Quick test_kernel_axpy_dot;
         ] );
       ( "complex",
         [
@@ -459,6 +660,7 @@ let () =
             prop_lu_det_transpose;
             prop_solve_many_bitwise;
             prop_kernel_dot_bitwise;
+            prop_kernel_axpy_dot_bitwise;
             prop_vec_triangle;
             prop_vec_cauchy_schwarz;
             prop_mat_mul_assoc;

@@ -620,6 +620,84 @@ let test_solver_workspace_slot_reuse () =
   Alcotest.(check bool) "reused slot bitwise matches fresh" true
     (float_array_bits_equal second.Mpde.Solver.big_x fresh.Mpde.Solver.big_x)
 
+(* ---------- block-inverse sweep preconditioner ---------- *)
+
+let catalog_fixture name =
+  match Serve.Catalog.find name with
+  | Error e -> Alcotest.fail e
+  | Ok fx ->
+      let f_fast = fx.Serve.Catalog.default_fast
+      and fd = fx.Serve.Catalog.default_fd in
+      let { Circuits.mna; _ } = fx.Serve.Catalog.build ~f_fast ~fd in
+      (mna, Shear.make ~fast_freq:f_fast ~slow_freq:fd)
+
+let max_abs a = Array.fold_left (fun m v -> Float.max m (Float.abs v)) 0.0 a
+
+let test_solver_sweep_matches_direct () =
+  (* The block-inverse sweep only preconditions GMRES: on the catalog
+     balanced mixer its converged surface must agree with sparse direct
+     LU to 1e-10 of the surface's peak (observed: ~2e-15), for the
+     backward scheme (matrix-free operator, t1 and t2 couplings in the
+     sweep) and for central t1 (assembled operator, t2 coupling
+     only). *)
+  let mna, shear = catalog_fixture "balanced-mixer" in
+  List.iter
+    (fun (name, scheme) ->
+      let solve linear_solver =
+        Mpde.Solver.solve_mna
+          ~options:{ Mpde.Solver.default_options with scheme; linear_solver }
+          ~shear ~n1:12 ~n2:8 mna
+      in
+      let direct = solve Mpde.Solver.Direct in
+      let sweep = solve Mpde.Solver.default_gmres in
+      Alcotest.(check bool) (name ^ ": both converged") true
+        (direct.Mpde.Solver.stats.converged && sweep.Mpde.Solver.stats.converged);
+      Alcotest.(check bool) (name ^ ": gmres ran") true
+        (sweep.Mpde.Solver.stats.linear_iterations > 0);
+      let xd = direct.Mpde.Solver.big_x and xs = sweep.Mpde.Solver.big_x in
+      let diff = max_abs (Array.mapi (fun i v -> v -. xd.(i)) xs) in
+      let peak = max_abs xd in
+      if diff > 1e-10 *. peak then
+        Alcotest.failf "%s: |x_sweep − x_direct|∞ = %.3e > 1e-10·%.3e" name diff peak)
+    [ ("backward", Mpde.Assemble.Backward); ("central-t1", Mpde.Assemble.Central_t1) ]
+
+let paper_mixer_40x30 () =
+  let f_lo = 450e6 and fd = 15e3 in
+  let rf_signal, _ = Circuits.paper_rf_bitstream ~f_lo ~fd () in
+  let { Circuits.mna; _ } = Circuits.balanced_mixer ~f_lo ~rf_signal () in
+  let shear = Shear.make ~fast_freq:f_lo ~slow_freq:fd in
+  Mpde.Solver.solve_mna ~shear ~n1:40 ~n2:30 mna
+
+let test_solver_paper_mixer_iterations () =
+  (* Preconditioner quality guard: the paper's 40x30 mixer solve takes
+     56 GMRES iterations with the block sweep; a weaker sweep (a lost
+     coupling, a stale or mis-shared inverse) shows up here first. *)
+  let sol = paper_mixer_40x30 () in
+  Alcotest.(check bool) "converged" true sol.Mpde.Solver.stats.converged;
+  let iters = sol.Mpde.Solver.stats.linear_iterations in
+  if iters > 56 then Alcotest.failf "linear iterations %d > 56" iters
+
+let test_solver_sweep_counters () =
+  (* Solve counters keep their meaning under the block-inverse sweep:
+     one [lu.dense_solves] per sweep apply and one
+     [lu.dense_solve_columns] per grid point per apply. *)
+  let mna, shear = mixer_fixture () in
+  Telemetry.enable ();
+  let counters =
+    Fun.protect ~finally:Telemetry.disable (fun () ->
+        let sol = Mpde.Solver.solve_mna ~shear ~n1:16 ~n2:10 mna in
+        Alcotest.(check bool) "converged" true sol.Mpde.Solver.stats.converged;
+        match Telemetry.snapshot () with
+        | Some s -> s.Telemetry.counters
+        | None -> Alcotest.fail "telemetry disabled")
+  in
+  let get k = Option.value ~default:0 (List.assoc_opt k counters) in
+  let sweeps = get "mpde.precond.sweeps" in
+  Alcotest.(check bool) "sweeps ran" true (sweeps > 0);
+  Alcotest.(check int) "one dense solve per sweep" sweeps (get "lu.dense_solves");
+  Alcotest.(check int) "one column per point per sweep" (sweeps * 160)
+    (get "lu.dense_solve_columns")
+
 (* ---------- properties ---------- *)
 
 let prop_shear_diagonal =
@@ -711,6 +789,11 @@ let () =
             test_solver_precond_lag_matches_eager;
           Alcotest.test_case "krylov recycle matches cold" `Quick
             test_solver_krylov_recycle_matches_cold;
+          Alcotest.test_case "sweep = direct (backward, central-t1)" `Quick
+            test_solver_sweep_matches_direct;
+          Alcotest.test_case "paper mixer 40x30 iterations" `Quick
+            test_solver_paper_mixer_iterations;
+          Alcotest.test_case "sweep solve counters" `Quick test_solver_sweep_counters;
           Alcotest.test_case "workspace slot reuse" `Quick
             test_solver_workspace_slot_reuse;
           Alcotest.test_case "grid refinement" `Slow test_solver_grid_refinement_converges;

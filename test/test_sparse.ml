@@ -90,6 +90,31 @@ let test_csr_empty_rows () =
   check_float "empty row" 0.0 y.(1);
   check_float "last" 1.0 y.(3)
 
+let test_csr_same_pattern () =
+  (* Equal nnz is not an equal pattern: the preconditioner's drift test
+     compares snapshot values slot by slot, which is only meaningful
+     when row_ptr and col_idx both agree. *)
+  let mk t = Csr.of_coo (Coo.of_triplets 3 3 t) in
+  let a = mk [ (0, 0, 1.0); (0, 1, 2.0); (1, 1, 3.0) ] in
+  let twin = mk [ (0, 0, 5.0); (0, 1, 6.0); (1, 1, 7.0) ] in
+  let other_cols = mk [ (0, 0, 1.0); (0, 1, 2.0); (1, 2, 3.0) ] in
+  let other_rows = mk [ (0, 0, 1.0); (1, 1, 2.0); (2, 1, 3.0) ] in
+  (* Fixture sanity: each variant differs in exactly one array. *)
+  Alcotest.(check bool) "other_cols keeps row_ptr" true
+    (other_cols.Csr.row_ptr = a.Csr.row_ptr && other_cols.Csr.col_idx <> a.Csr.col_idx);
+  Alcotest.(check bool) "other_rows keeps col_idx" true
+    (other_rows.Csr.col_idx = a.Csr.col_idx && other_rows.Csr.row_ptr <> a.Csr.row_ptr);
+  Alcotest.(check bool) "refreshed values share the pattern" true
+    (Csr.same_pattern a { a with Csr.values = [| 9.0; 9.0; 9.0 |] });
+  Alcotest.(check bool) "separately built twin" true (Csr.same_pattern a twin);
+  Alcotest.(check bool) "equal nnz, other col_idx" false
+    (Csr.same_pattern a other_cols);
+  Alcotest.(check bool) "equal nnz, other row_ptr" false
+    (Csr.same_pattern a other_rows);
+  Alcotest.(check bool) "other dimensions" false
+    (Csr.same_pattern a
+       (Csr.of_coo (Coo.of_triplets 3 4 [ (0, 0, 1.0); (0, 1, 2.0); (1, 1, 3.0) ])))
+
 (* ---------- Splu ---------- *)
 
 let laplacian_1d n =
@@ -473,6 +498,7 @@ let () =
           Alcotest.test_case "diag/identity" `Quick test_csr_diag_identity;
           Alcotest.test_case "add/scale" `Quick test_csr_add_scale;
           Alcotest.test_case "empty rows" `Quick test_csr_empty_rows;
+          Alcotest.test_case "same_pattern" `Quick test_csr_same_pattern;
         ] );
       ( "splu",
         [
