@@ -54,8 +54,9 @@ let default_checks ?(overrides = []) tolerance =
     };
     {
       (* Dense diagonal-block factorizations per mixer solve — the
-         preconditioner-lagging win; creeping back up means the lag
-         policy quietly stopped keeping factors. *)
+         lagged, drift-clustered sweep build; creeping back up means
+         lagging stopped keeping factors or clustering stopped sharing
+         them. *)
       metric = "mixer.lu_dense_factors";
       path = [ "mixer"; "telemetry"; "counters"; "lu.dense_factors" ];
       direction = Lower_better;

@@ -24,9 +24,6 @@ type options = {
   linear_solver : linear_solver;
   allow_continuation : bool;
   budget : Budget.t option;
-  precond_lag : bool;
-  precond_cluster : bool;
-  krylov_recycle : bool;
 }
 
 let default_options =
@@ -37,29 +34,13 @@ let default_options =
     linear_solver = default_gmres;
     allow_continuation = true;
     budget = None;
-    precond_lag = true;
-    precond_cluster = true;
-    krylov_recycle = true;
   }
 
 let make_options ?(max_newton = default_options.max_newton)
     ?(tol = default_options.tol) ?(scheme = default_options.scheme)
     ?(linear_solver = default_options.linear_solver)
-    ?(allow_continuation = default_options.allow_continuation) ?budget
-    ?(precond_lag = default_options.precond_lag)
-    ?(precond_cluster = default_options.precond_cluster)
-    ?(krylov_recycle = default_options.krylov_recycle) () =
-  {
-    max_newton;
-    tol;
-    scheme;
-    linear_solver;
-    allow_continuation;
-    budget;
-    precond_lag;
-    precond_cluster;
-    krylov_recycle;
-  }
+    ?(allow_continuation = default_options.allow_continuation) ?budget () =
+  { max_newton; tol; scheme; linear_solver; allow_continuation; budget }
 
 type stats = {
   newton_iterations : int;
@@ -220,10 +201,7 @@ let workspace_fits ws scheme sys (g : Grid.t) =
 
 (* Rebind a retained workspace to a new solve job: fresh assembly
    workspace (it is bound to the system/grid and cheap — the big COO is
-   lazy), dropped numeric caches, kept big allocations. Forgetting the
-   GMRES recycle state matters for determinism: a recycled seed from an
-   unrelated job would change iteration counts depending on which jobs
-   previously ran on this domain. *)
+   lazy), dropped numeric caches, kept big allocations. *)
 let rebind_workspace ws scheme sys (g : Grid.t) =
   ws.asm <- Assemble.workspace scheme sys g;
   ws.sweep.built <- false;
@@ -232,9 +210,6 @@ let rebind_workspace ws scheme sys (g : Grid.t) =
   ws.sweep.stale <- false;
   ws.ilu <- None;
   ws.splu <- None;
-  (match ws.gmres_ws with
-  | Some k -> Sparse.Krylov.forget_recycle k
-  | None -> ());
   ws
 
 let gmres_workspace ws ~restart ~n =
@@ -435,10 +410,10 @@ let build_sweep_factors cache scheme (g : Grid.t) ~jacs ~extra_diag ~cluster =
   cache.built <- true;
   cache.built_extra_diag <- extra_diag
 
-(* Selective refresh under [precond_lag]: refactor only the blocks
-   that drifted since they were last factored; quiet blocks keep their
-   (slightly stale) dense inverses. *)
-let refresh_sweep_factors cache scheme (g : Grid.t) ~jacs ~extra_diag ~cluster =
+(* Lagged refresh: refactor only the blocks that drifted since they
+   were last factored; quiet blocks keep their (slightly stale) dense
+   inverses. *)
+let refresh_sweep_factors cache scheme (g : Grid.t) ~jacs ~extra_diag =
   Telemetry.span "mpde.precond.refresh" @@ fun () ->
   let any_drifted () =
     let drifted = ref false and p = ref 0 in
@@ -448,21 +423,14 @@ let refresh_sweep_factors cache scheme (g : Grid.t) ~jacs ~extra_diag ~cluster =
     done;
     !drifted
   in
-  if not cache.exact then begin
-    (* Clustered inverses: each point's snapshot is its
+  if (not cache.exact) || (cache.sc_np > 1 && cache.factor_id.(1) = 0) then begin
+    (* Shared inverses — clustered, or one inverse for a replicated
+       iterate held in [mats.(0)]. Each point's snapshot is its
        representative's build state, so drifting against it means the
-       point left its cluster. Refactoring a member in place would
-       corrupt the inverse the rest of its cluster still shares, so the
-       first drift anywhere forces a full re-clustered rebuild. *)
-    if any_drifted () then build_sweep_factors cache scheme g ~jacs ~extra_diag ~cluster
-    (* otherwise the cache stays stale by construction (clustered) *)
-  end
-  else if cache.sc_np > 1 && cache.factor_id.(1) = 0 then begin
-    (* The last build shared one inverse (replicated iterate) held in
-       [mats.(0)]; refactoring any single block in place would corrupt
-       the inverse the others still reference, so the first drift
-       anywhere forces a full unshared rebuild. *)
-    if any_drifted () then build_sweep_factors cache scheme g ~jacs ~extra_diag ~cluster
+       point left its cluster; refactoring it in place would corrupt the
+       inverse the others still reference, so the first drift anywhere
+       forces a full clustered rebuild. *)
+    if any_drifted () then build_sweep_factors cache scheme g ~jacs ~extra_diag ~cluster:true
     else cache.stale <- true
   end
   else begin
@@ -601,8 +569,8 @@ let with_extra_diag jac extra_diag =
   if extra_diag = 0.0 then jac
   else Sparse.Csr.add jac (Sparse.Csr.scale extra_diag (Sparse.Csr.identity jac.Sparse.Csr.rows))
 
-let solve_linear ~ws ~linear_solver ~scheme ~precond_lag ~precond_cluster
-    ~krylov_recycle ~budget (g : Grid.t) ~jacs ~extra_diag ~rhs ~linear_iters =
+let solve_linear ~ws ~linear_solver ~scheme ~budget (g : Grid.t) ~jacs ~extra_diag
+    ~rhs ~linear_iters =
   (* Numeric-refresh path: with [extra_diag = 0] this returns the same
      CSR instance every Newton iteration, which keeps the ILU0/sparse-LU
      pattern caches below valid. *)
@@ -618,8 +586,7 @@ let solve_linear ~ws ~linear_solver ~scheme ~precond_lag ~precond_cluster
   let run_gmres_ba ~restart ~max_iter ~tol ~precond op =
     let workspace = gmres_workspace ws ~restart ~n:(Array.length rhs) in
     let result =
-      Sparse.Krylov.gmres_ba ~restart ~max_iter ~tol ~precond ?budget ~workspace
-        ~recycle:krylov_recycle op rhs
+      Sparse.Krylov.gmres_ba ~restart ~max_iter ~tol ~precond ?budget ~workspace op rhs
     in
     linear_iters := !linear_iters + result.Sparse.Krylov.iterations;
     result
@@ -680,24 +647,18 @@ let solve_linear ~ws ~linear_solver ~scheme ~precond_lag ~precond_cluster
               Sparse.Csr.mul_vec_ba_into m v ws.op_ba;
               ws.op_ba
       in
-      let build () =
+      let build ~cluster =
         Telemetry.span "mpde.precond.build" @@ fun () ->
-        build_sweep_factors cache scheme g ~jacs ~extra_diag
-          ~cluster:precond_cluster
+        build_sweep_factors cache scheme g ~jacs ~extra_diag ~cluster
       in
       (* Preconditioner lagging: keep the dense diagonal factors across
          Newton iterations and selectively refactor only the blocks
          whose Jacobian drifted (the values move slowly near the
-         solution and M⁻¹ only steers GMRES); full rebuild when the
-         loading changed, when lagging is off, or on a stall below. *)
-      if
-        (not cache.built)
-        || (not precond_lag)
-        || cache.built_extra_diag <> extra_diag
-      then build ()
-      else
-        refresh_sweep_factors cache scheme g ~jacs ~extra_diag
-          ~cluster:precond_cluster;
+         solution and M⁻¹ only steers GMRES); full clustered rebuild when
+         the loading changed, exact rebuild on a stall below. *)
+      if (not cache.built) || cache.built_extra_diag <> extra_diag then
+        build ~cluster:true
+      else refresh_sweep_factors cache scheme g ~jacs ~extra_diag;
       let precond = sweep_apply cache g ~jacs in
       let result = run_gmres_ba ~restart ~max_iter ~tol ~precond op in
       if result.Sparse.Krylov.converged then result.Sparse.Krylov.x
@@ -707,8 +668,7 @@ let solve_linear ~ws ~linear_solver ~scheme ~precond_lag ~precond_cluster
            the current Jacobian — and retry once before declaring a
            stall. *)
         Telemetry.count "mpde.precond.lag_rebuilds";
-        (Telemetry.span "mpde.precond.build" @@ fun () ->
-         build_sweep_factors cache scheme g ~jacs ~extra_diag ~cluster:false);
+        build ~cluster:false;
         let result = run_gmres_ba ~restart ~max_iter ~tol ~precond op in
         if result.Sparse.Krylov.converged then result.Sparse.Krylov.x
         else stalled result
@@ -820,11 +780,8 @@ let newton_problem ~options ~linear_solver ~ws ?ptc ~sys ~g ~sources ~linear_ite
          with Guard.Non_finite v as e ->
            on_residual_violation v;
            raise e);
-        solve_linear ~ws ~linear_solver ~scheme:options.scheme
-          ~precond_lag:options.precond_lag
-          ~precond_cluster:options.precond_cluster
-          ~krylov_recycle:options.krylov_recycle ~budget:options.budget g ~jacs
-          ~extra_diag ~rhs:r ~linear_iters);
+        solve_linear ~ws ~linear_solver ~scheme:options.scheme ~budget:options.budget g
+          ~jacs ~extra_diag ~rhs:r ~linear_iters);
   }
 
 let is_direct = function Direct -> true | _ -> false

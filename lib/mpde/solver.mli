@@ -10,7 +10,14 @@
       the two periodic wrap couplings, so one sweep (factoring only the
       [n] x [n] diagonal blocks) is a very strong preconditioner — the
       multi-time analogue of the matrix-free Krylov shooting of the
-      paper's ref. [10];
+      paper's ref. [10]. The dense block inverses are lagged across
+      Newton iterations (only blocks whose Jacobian drifted are
+      refactored) and shared between grid points whose Jacobians agree
+      within a tight tolerance (drift-clustered builds). On a GMRES
+      stall with lagged or clustered inverses the solver rebuilds them
+      exact, one per point, and retries once before escalating. This
+      policy is fixed; it affects only GMRES iteration counts, never
+      the converged answer;
     - [Gmres_ilu0]: GMRES preconditioned by a zero-fill ILU of the
       global Jacobian — slower to set up than the sweep but stronger
       when the sweep's dropped couplings matter; the first escalation
@@ -54,28 +61,6 @@ type options = {
   budget : Resilience.Budget.t option;
       (** overall deadline/iteration budget for the whole ladder climb;
           default [None] (unbounded) *)
-  precond_lag : bool;
-      (** keep the sweep preconditioner's dense per-point block inverses
-          across Newton iterations instead of rebuilding them for every
-          linear solve; on a GMRES stall with lagged inverses the solver
-          rebuilds once and retries before escalating. Affects only
-          preconditioning (GMRES iteration counts), never the converged
-          answer. Default true. *)
-  precond_cluster : bool;
-      (** share one dense block inverse between grid points whose
-          Jacobians agree within a tight drift tolerance
-          (drift-clustered build) — on the mixer the converged grid
-          clusters to a handful of representatives, cutting dense
-          factorizations by an order of magnitude. On a GMRES stall
-          the solver rebuilds exact
-          (unclustered) and retries before escalating. Affects only
-          preconditioning, never the converged answer. Default true. *)
-  krylov_recycle : bool;
-      (** seed each GMRES solve from a projection of the previous
-          Newton iteration's converged Krylov subspace; a drift test on
-          the true residual falls back to a cold start when the
-          operator moved too far. Affects only iteration counts, never
-          the converged answer. Default true. *)
 }
 
 val default_options : options
@@ -87,9 +72,6 @@ val make_options :
   ?linear_solver:linear_solver ->
   ?allow_continuation:bool ->
   ?budget:Resilience.Budget.t ->
-  ?precond_lag:bool ->
-  ?precond_cluster:bool ->
-  ?krylov_recycle:bool ->
   unit ->
   options
 (** Smart constructor under the *normalized* option vocabulary shared
@@ -141,8 +123,8 @@ val solve :
     (one slot per domain in sweep pools): when the retained workspace
     fits this solve's shape (same unknown count, grid points, and
     scheme diagonal structure) its large numeric buffers are reused and
-    every cache bound to the previous job — factors, recycled Krylov
-    state, pattern caches — is dropped, so results are identical to a
+    every cache bound to the previous job — factors and pattern
+    caches — is dropped, so results are identical to a
     fresh workspace; otherwise a fresh workspace is stored into the
     slot. *)
 

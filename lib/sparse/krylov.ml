@@ -39,10 +39,7 @@ let identity v = Array.copy v
 
    The O(n) vectors are Float64 Bigarrays driven by the {!Kernel}
    hot loops; the O(restart) rotation machinery stays in plain float
-   arrays. After a clean solve the workspace additionally retains the
-   final Krylov cycle ([rec_k] basis columns, their rotated Hessenberg
-   R and the Givens coefficients) so the next call on this workspace
-   can seed itself from a projection of the previous subspace. *)
+   arrays. *)
 type workspace = {
   ws_n : int;
   ws_restart : int;
@@ -56,10 +53,8 @@ type workspace = {
   update : Kernel.vec;
   xv : Kernel.vec;  (* the iterate *)
   bv : Kernel.vec;  (* right-hand side staged once per call *)
-  rec_g : Vec.t;  (* recycle projection scratch, restart+1 *)
   conv_arr : float array;  (* float-array operator boundary staging *)
   conv_vec : Kernel.vec;
-  mutable rec_k : int;  (* retained basis columns from the last clean cycle *)
 }
 
 let workspace ~restart ~n =
@@ -77,49 +72,9 @@ let workspace ~restart ~n =
     update = Kernel.create n;
     xv = Kernel.create n;
     bv = Kernel.create n;
-    rec_g = Array.make (restart + 1) 0.0;
     conv_arr = Array.make n 0.0;
     conv_vec = Kernel.create n;
-    rec_k = 0;
   }
-
-let forget_recycle ws = ws.rec_k <- 0
-
-(* A recycled seed must shrink the initial residual by at least this
-   factor, or the cycle falls back to a cold start — the retained
-   subspace has drifted too far from the current operator to help. *)
-let recycle_accept = 0.9
-
-(* Seed the iterate from the retained Krylov cycle: project the new
-   right-hand side onto the stored orthonormal basis, reuse the stored
-   Givens rotations and triangular R to solve the least-squares
-   problem in O(k²), and map through the (current) preconditioner.
-   Leaves [ws.xv] holding [precond (V y)]; the caller validates the
-   seed by the first true residual. *)
-let recycle_seed ws ~precond =
-  let k = ws.rec_k in
-  let gb = ws.rec_g in
-  for i = 0 to k do
-    gb.(i) <- Kernel.dot ws.basis.(i) ws.bv
-  done;
-  for i = 0 to k - 1 do
-    let t = (ws.cs.(i) *. gb.(i)) +. (ws.sn.(i) *. gb.(i + 1)) in
-    gb.(i + 1) <- (-.ws.sn.(i) *. gb.(i)) +. (ws.cs.(i) *. gb.(i + 1));
-    gb.(i) <- t
-  done;
-  let y = ws.y in
-  for i = k - 1 downto 0 do
-    let s = ref gb.(i) in
-    for j = i + 1 to k - 1 do
-      s := !s -. (ws.hcols.(j).(i) *. y.(j))
-    done;
-    y.(i) <- (if Float.abs ws.hcols.(i).(i) > 0.0 then !s /. ws.hcols.(i).(i) else 0.0)
-  done;
-  Kernel.fill ws.update 0.0;
-  for j = 0 to k - 1 do
-    Kernel.axpy y.(j) ws.basis.(j) ws.update
-  done;
-  Kernel.blit (precond ws.update) ws.xv
 
 (* Restarted GMRES with right preconditioning and Givens-rotation QR of
    the Hessenberg matrix, on Bigarray vectors.
@@ -134,15 +89,9 @@ let recycle_seed ws ~precond =
 
    Buffer contract: [op] and [precond] may return a shared internal
    buffer — every value GMRES keeps across calls is copied into its own
-   (workspace) storage before the next operator application.
-
-   [recycle] (off by default, ignored when [x0] is given) seeds the
-   first cycle from the workspace's retained previous Krylov subspace;
-   the seed is discarded — a plain cold start, at the cost of one extra
-   operator and preconditioner application — unless it shrinks the
-   initial residual below [recycle_accept]·‖b‖. *)
+   (workspace) storage before the next operator application. *)
 let gmres_ba ?(restart = 50) ?(max_iter = 500) ?(tol = 1e-10) ?precond ?budget
-    ?x0 ?workspace:ws ?(recycle = false) op b =
+    ?x0 ?workspace:ws op b =
   Telemetry.span "gmres" @@ fun () ->
   let n = Array.length b in
   if Resilience.Faultinject.gmres_stall () then begin
@@ -185,20 +134,11 @@ let gmres_ba ?(restart = 50) ?(max_iter = 500) ?(tol = 1e-10) ?precond ?budget
   | None -> Kernel.fill x 0.0);
   let bnorm = Kernel.nrm2 bv in
   let target = if bnorm > 0.0 then tol *. bnorm else tol in
-  (* Recycled seed: tentative until the first residual validates it. *)
-  let seed_pending = ref false in
-  if recycle && x0 = None && ws.rec_k > 0 && bnorm > 0.0 then begin
-    recycle_seed ws ~precond;
-    seed_pending := true
-  end;
-  let cold_head () = x0 = None && not !seed_pending in
   let total_iters = ref 0 in
   let final_res = ref infinity in
   let converged = ref false in
   let restarts = ref 0 in
   let stop = ref Max_iterations in
-  let last_k = ref 0 in
-  let poisoned_solve = ref false in
   (try
      while (not !converged) && !total_iters < max_iter do
        (match budget with
@@ -209,26 +149,12 @@ let gmres_ba ?(restart = 50) ?(max_iter = 500) ?(tol = 1e-10) ?precond ?budget
        incr restarts;
        Telemetry.count "gmres.restarts";
        let r = ws.r in
-       if !total_iters = 0 && cold_head () then Kernel.blit bv r
+       if !total_iters = 0 && x0 = None then Kernel.blit bv r
        else begin
          let ax = op x in
          Kernel.sub_into bv ax r
        end;
-       let beta = ref (Kernel.nrm2 r) in
-       if !seed_pending then begin
-         (* Validate the recycled seed by its true residual: keep it
-            only when the projection genuinely shrank the residual. *)
-         if Float.is_finite !beta && !beta < recycle_accept *. bnorm then
-           Telemetry.count "gmres.recycle_seeded"
-         else begin
-           Telemetry.count "gmres.recycle_rejected";
-           Kernel.fill x 0.0;
-           Kernel.blit bv r;
-           beta := bnorm
-         end;
-         seed_pending := false
-       end;
-       let beta = !beta in
+       let beta = Kernel.nrm2 r in
        final_res := beta;
        (* Per-restart residual curve: the true (unpreconditioned-side)
           residual at the head of each restart cycle. *)
@@ -324,7 +250,6 @@ let gmres_ba ?(restart = 50) ?(max_iter = 500) ?(tol = 1e-10) ?precond ?budget
            end
          end
        done;
-       if !poisoned then poisoned_solve := true;
        if !poisoned && !k = 0 then
          (* No finite direction at all: updating x is impossible and the
             next restart would recompute the identical poisoned column —
@@ -332,7 +257,6 @@ let gmres_ba ?(restart = 50) ?(max_iter = 500) ?(tol = 1e-10) ?precond ?budget
          raise Exit;
        (* Solve the triangular system for the Krylov coefficients. *)
        let k = !k in
-       last_k := k;
        let y = ws.y in
        for i = k - 1 downto 0 do
          let s = ref g.(i) in
@@ -358,11 +282,6 @@ let gmres_ba ?(restart = 50) ?(max_iter = 500) ?(tol = 1e-10) ?precond ?budget
        | _ -> ())
      done
    with Exit -> ());
-  (* Retain the final cycle for the next call's recycled seed — unless
-     it was poisoned, or this call never built one (keep whatever the
-     workspace already holds). *)
-  if !poisoned_solve || !stop = Poisoned then ws.rec_k <- 0
-  else if !last_k > 0 then ws.rec_k <- !last_k;
   let stop = if !converged && !stop <> Happy_breakdown then Tolerance else !stop in
   Telemetry.count ~by:!total_iters "gmres.iterations";
   if not !converged then Telemetry.count "gmres.stalls";
@@ -390,7 +309,7 @@ let gmres_ba ?(restart = 50) ?(max_iter = 500) ?(tol = 1e-10) ?precond ?budget
    results are bitwise identical to running the kernels on
    [float array] directly. *)
 let gmres ?(restart = 50) ?(max_iter = 500) ?(tol = 1e-10) ?(precond = identity)
-    ?budget ?x0 ?workspace:ws ?recycle op b =
+    ?budget ?x0 ?workspace:ws op b =
   let n = Array.length b in
   let ws =
     match ws with
@@ -404,7 +323,7 @@ let gmres ?(restart = 50) ?(max_iter = 500) ?(tol = 1e-10) ?(precond = identity)
     ws.conv_vec
   in
   gmres_ba ~restart ~max_iter ~tol ~precond:(stage precond) ?budget ?x0
-    ~workspace:ws ?recycle (stage op) b
+    ~workspace:ws (stage op) b
 
 let bicgstab ?(max_iter = 500) ?(tol = 1e-10) ?(precond = identity) ?x0 op b =
   let n = Array.length b in

@@ -36,20 +36,12 @@ type workspace
     [(restart, n)] shape. Reusing one across calls removes every
     allocation inside the restart loop. A workspace belongs to one
     solve stream on one domain — it must not be shared concurrently.
-
-    After a clean solve the workspace also retains the final Krylov
-    cycle (basis columns plus the rotated Hessenberg), which
-    {!gmres_ba} with [~recycle:true] uses to seed the next solve on a
-    nearby operator. *)
+    A workspace carries no state between calls: a reused one gives
+    results bitwise equal to a fresh one. *)
 
 val workspace : restart:int -> n:int -> workspace
 (** Allocate scratch for systems of size [n] solved with up to
     [restart] inner iterations per cycle. *)
-
-val forget_recycle : workspace -> unit
-(** Drop the retained Krylov cycle so the next recycled call starts
-    cold. Call when the workspace is handed to an unrelated operator
-    sequence (a new solve job). *)
 
 val gmres :
   ?restart:int ->
@@ -59,7 +51,6 @@ val gmres :
   ?budget:Resilience.Budget.t ->
   ?x0:Linalg.Vec.t ->
   ?workspace:workspace ->
-  ?recycle:bool ->
   operator ->
   Linalg.Vec.t ->
   result
@@ -94,25 +85,12 @@ val gmres_ba :
   ?budget:Resilience.Budget.t ->
   ?x0:Linalg.Vec.t ->
   ?workspace:workspace ->
-  ?recycle:bool ->
   ba_operator ->
   Linalg.Vec.t ->
   result
 (** {!gmres} with the operator and preconditioner over
     {!Linalg.Kernel.vec} — the allocation- and staging-free hot path.
-    Same semantics and defaults as {!gmres}.
-
-    [recycle] (default [false], ignored when [x0] is given) seeds the
-    first cycle from the workspace's retained previous Krylov subspace:
-    the new right-hand side is projected onto the stored orthonormal
-    basis and solved against the stored triangular factor in O(k²) plus
-    k+1 dot products. The seed is validated against the true residual
-    and discarded — falling back to a cold start at the cost of one
-    extra operator and preconditioner application — unless it shrinks
-    the initial residual below 0.9·‖b‖ (counted as
-    [gmres.recycle_seeded] / [gmres.recycle_rejected]). With
-    [recycle = false] the iteration is bitwise identical to a fresh
-    workspace. *)
+    Same semantics and defaults as {!gmres}. *)
 
 val bicgstab :
   ?max_iter:int ->

@@ -191,6 +191,33 @@ let test_stage_ptc_ramp () =
   check_rescued ~expect:"ptc-ramp"
     "nan@residual/newton:1,nan@residual/source-ramp:1x9999" (rc_problem ())
 
+let test_sweep_stall_exact_rebuild () =
+  (* The sweep preconditioner's own stall rescue, below the ladder:
+     stall one GMRES solve while the dense inverses are lagged and
+     drift-clustered (the second Newton iteration — the first builds
+     one shared inverse at the replicated DC seed, which is exact). The
+     solver rebuilds exact inverses, retries once, and Newton converges
+     on the first rung. *)
+  let f_lo = 450e6 and fd = 15e3 in
+  let rf_signal = W.cosine ~amplitude:1.0 ~freq:((2.0 *. f_lo) +. fd) () in
+  let { Circuits.mna; _ } = Circuits.balanced_mixer ~f_lo ~rf_signal () in
+  let shear = Mpde.Shear.make ~fast_freq:f_lo ~slow_freq:fd in
+  Telemetry.enable ();
+  let sol, counters =
+    Fun.protect ~finally:Telemetry.disable @@ fun () ->
+    with_plan "stall@gmres/newton:2" @@ fun () ->
+    FI.with_scope ~key:"mixer" @@ fun () ->
+    let sol = Mpde.Solver.solve_mna ~shear ~n1:16 ~n2:10 mna in
+    match Telemetry.snapshot () with
+    | Some s -> (sol, s.Telemetry.counters)
+    | None -> Alcotest.fail "telemetry disabled"
+  in
+  let get k = Option.value ~default:0 (List.assoc_opt k counters) in
+  Alcotest.(check bool) "converged" true sol.Mpde.Solver.stats.converged;
+  Alcotest.(check string) "stays on newton" "newton" sol.Mpde.Solver.stats.strategy;
+  Alcotest.(check int) "one injected stall" 1 (get "gmres.stalls");
+  Alcotest.(check int) "one exact rebuild" 1 (get "mpde.precond.lag_rebuilds")
+
 (* ---------- sweep retry / degradation / failure context ---------- *)
 
 let sweep_jobs ?(labels = [| "fd=1000"; "fd=2000" |]) () =
@@ -406,6 +433,8 @@ let () =
           Alcotest.test_case "direct-lu rescue" `Quick test_stage_direct_lu;
           Alcotest.test_case "source-ramp rescue" `Quick test_stage_source_ramp;
           Alcotest.test_case "ptc-ramp rescue" `Quick test_stage_ptc_ramp;
+          Alcotest.test_case "sweep stall exact rebuild" `Quick
+            test_sweep_stall_exact_rebuild;
         ] );
       ( "sweep",
         [

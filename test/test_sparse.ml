@@ -291,96 +291,16 @@ let test_gmres_ba_matches_gmres () =
   Alcotest.(check bool) "bitwise identical x" true
     (float_array_bits_equal via_arrays.Sparse.Krylov.x via_ba.Sparse.Krylov.x)
 
-let test_gmres_recycle_repeat_solve () =
-  (* Re-solving the same system through a retained workspace with
-     [recycle] on: the projection seed reproduces the previous converged
-     iterate, so the second solve should start essentially converged. *)
-  let n = 40 in
-  let a = laplacian_1d n in
-  let b = Vec.init n (fun i -> sin (float_of_int i)) in
-  let ws = Sparse.Krylov.workspace ~restart:50 ~n in
-  let op = ba_csr_operator a in
-  let first = Sparse.Krylov.gmres_ba ~tol:1e-10 ~workspace:ws ~recycle:true op b in
-  let second = Sparse.Krylov.gmres_ba ~tol:1e-10 ~workspace:ws ~recycle:true op b in
-  Alcotest.(check bool) "both converged" true
-    (first.Sparse.Krylov.converged && second.Sparse.Krylov.converged);
-  Alcotest.(check bool) "seed short-circuits the repeat" true
-    (second.Sparse.Krylov.iterations < first.Sparse.Krylov.iterations);
-  Alcotest.(check bool) "residual still honoured" true
-    (Csr.residual_norm a second.Sparse.Krylov.x b
-    <= 1e-8 *. Float.max 1.0 (Vec.norm2 b))
-
-let test_gmres_recycle_drifting_operators () =
-  (* A sequence of slowly drifting operators (the Newton lagged-Jacobian
-     shape): every recycled solve must still meet the cold-start
-     residual contract. *)
-  let n = 30 in
-  let ws = Sparse.Krylov.workspace ~restart:50 ~n in
-  let b = Vec.init n (fun i -> cos (float_of_int (i + 1)) *. 2.0) in
-  for step = 0 to 4 do
-    let shift = 0.05 *. float_of_int step in
-    let coo = Coo.create n n in
-    for i = 0 to n - 1 do
-      Coo.add coo i i (4.0 +. shift);
-      if i > 0 then Coo.add coo i (i - 1) (-1.0);
-      if i < n - 1 then Coo.add coo i (i + 1) (-1.0 -. (0.01 *. shift))
-    done;
-    let a = Csr.of_coo coo in
-    let r =
-      Sparse.Krylov.gmres_ba ~tol:1e-10 ~workspace:ws ~recycle:true
-        (ba_csr_operator a) b
-    in
-    Alcotest.(check bool)
-      (Printf.sprintf "converged (step %d)" step)
-      true r.Sparse.Krylov.converged;
-    Alcotest.(check bool)
-      (Printf.sprintf "residual (step %d)" step)
-      true
-      (Csr.residual_norm a r.Sparse.Krylov.x b
-      <= 1e-8 *. Float.max 1.0 (Vec.norm2 b))
-  done
-
-let test_gmres_recycle_cold_fallback () =
-  (* When the operator changes wholesale the projection seed fails its
-     residual validation and the solve restarts cold — the iterate must
-     be bitwise what a fresh workspace produces. *)
-  let n = 25 in
-  let a = laplacian_1d n in
-  let b = Vec.init n (fun i -> float_of_int ((i mod 5) - 2)) in
-  let ws = Sparse.Krylov.workspace ~restart:50 ~n in
-  ignore (Sparse.Krylov.gmres_ba ~tol:1e-10 ~workspace:ws ~recycle:true
-      (ba_csr_operator a) b);
-  (* Wildly different operator: -3·A plus a strong diagonal ramp. *)
-  let coo = Coo.create n n in
-  for i = 0 to n - 1 do
-    Coo.add coo i i (20.0 +. (3.0 *. float_of_int i));
-    if i > 0 then Coo.add coo i (i - 1) 2.5;
-    if i < n - 1 then Coo.add coo i (i + 1) (-2.5)
-  done;
-  let a2 = Csr.of_coo coo in
-  let recycled =
-    Sparse.Krylov.gmres_ba ~tol:1e-10 ~workspace:ws ~recycle:true
-      (ba_csr_operator a2) b
-  in
-  let cold = Sparse.Krylov.gmres_ba ~tol:1e-10 (ba_csr_operator a2) b in
-  Alcotest.(check bool) "both converged" true
-    (recycled.Sparse.Krylov.converged && cold.Sparse.Krylov.converged);
-  Alcotest.(check bool) "fallback bitwise matches cold" true
-    (float_array_bits_equal recycled.Sparse.Krylov.x cold.Sparse.Krylov.x)
-
-let test_gmres_recycle_off_bitwise () =
-  (* recycle = false through a dirty workspace must be bitwise the
-     fresh-workspace iteration. *)
+let test_gmres_dirty_workspace_bitwise () =
+  (* A workspace dirtied by an earlier solve carries no state into the
+     next one: the iteration is bitwise the fresh-workspace one. *)
   let n = 20 in
   let a = laplacian_1d n in
   let b = Vec.init n (fun i -> sin (0.7 *. float_of_int i)) in
   let ws = Sparse.Krylov.workspace ~restart:50 ~n in
-  ignore (Sparse.Krylov.gmres_ba ~tol:1e-10 ~workspace:ws ~recycle:true
-      (ba_csr_operator a) b);
-  let reused =
-    Sparse.Krylov.gmres_ba ~tol:1e-10 ~workspace:ws ~recycle:false
-      (ba_csr_operator a) b
-  in
+  let other = Vec.init n (fun i -> cos (1.3 *. float_of_int i)) in
+  ignore (Sparse.Krylov.gmres_ba ~tol:1e-10 ~workspace:ws (ba_csr_operator a) other);
+  let reused = Sparse.Krylov.gmres_ba ~tol:1e-10 ~workspace:ws (ba_csr_operator a) b in
   let fresh = Sparse.Krylov.gmres_ba ~tol:1e-10 (ba_csr_operator a) b in
   Alcotest.(check bool) "bitwise identical" true
     (float_array_bits_equal reused.Sparse.Krylov.x fresh.Sparse.Krylov.x);
@@ -528,14 +448,8 @@ let () =
             test_csr_mul_vec_ba_validates;
           Alcotest.test_case "gmres_ba ≡ gmres" `Quick
             test_gmres_ba_matches_gmres;
-          Alcotest.test_case "recycle: repeat solve" `Quick
-            test_gmres_recycle_repeat_solve;
-          Alcotest.test_case "recycle: drifting operators" `Quick
-            test_gmres_recycle_drifting_operators;
-          Alcotest.test_case "recycle: cold fallback" `Quick
-            test_gmres_recycle_cold_fallback;
-          Alcotest.test_case "recycle off bitwise" `Quick
-            test_gmres_recycle_off_bitwise;
+          Alcotest.test_case "dirty workspace bitwise" `Quick
+            test_gmres_dirty_workspace_bitwise;
           Alcotest.test_case "bicgstab spd" `Quick test_bicgstab_spd;
           Alcotest.test_case "bicgstab + ilu0" `Quick test_bicgstab_with_precond;
         ] );
