@@ -17,6 +17,8 @@
    [Engine] API (lib/engine, DESIGN.md §11); [sweep] fans jobs out
    over OCaml 5 domains via [Engine.Sweep]. *)
 
+module J = Telemetry.Json
+
 (* The built-in circuits live in Serve.Catalog, shared with the solve
    service's request validation; the record is re-exported here so the
    subcommands keep their unqualified field access. *)
@@ -471,51 +473,41 @@ let emit_sweep_csv ~no_wall (records : Engine.Checkpoint.record array) =
         message)
     records
 
-(* %.6e of a NaN metric is not valid JSON; quote non-finite values the
-   same way Resilience.Report does. *)
-let sweep_json_float v =
-  if Float.is_nan v then "\"nan\""
-  else if v = Float.infinity then "\"inf\""
-  else if v = Float.neg_infinity then "\"-inf\""
-  else Printf.sprintf "%.6e" v
-
+(* Metrics are %.6e and tones %.9e, as in the CSV. *)
 let emit_sweep_json ~no_wall (records : Engine.Checkpoint.record array) =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf "[";
+  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let num = J.number ~digits:6 in
+  add "[";
   Array.iteri
     (fun i (r : Engine.Checkpoint.record) ->
-      if i > 0 then Buffer.add_string buf ",";
-      Buffer.add_string buf
-        (Printf.sprintf "\n  {\"label\":%S,\"engine\":%S,\"fast\":%.9e,\"fd\":%.9e,\"status\":%S,\"attempts\":%d"
-           r.Engine.Checkpoint.label r.Engine.Checkpoint.engine
-           r.Engine.Checkpoint.f_fast r.Engine.Checkpoint.fd
-           r.Engine.Checkpoint.status r.Engine.Checkpoint.attempts);
+      if i > 0 then add ",";
+      add "\n  {\"label\":%s,\"engine\":%s,\"fast\":%.9e,\"fd\":%.9e,\"status\":%s,\"attempts\":%d"
+        (J.quote r.Engine.Checkpoint.label)
+        (J.quote r.Engine.Checkpoint.engine)
+        r.Engine.Checkpoint.f_fast r.Engine.Checkpoint.fd
+        (J.quote r.Engine.Checkpoint.status)
+        r.Engine.Checkpoint.attempts;
       (if r.Engine.Checkpoint.status = "error" then begin
-         Buffer.add_string buf
-           (Printf.sprintf ",\"message\":%S" r.Engine.Checkpoint.message);
-         (match r.Engine.Checkpoint.stage with
-         | Some st -> Buffer.add_string buf (Printf.sprintf ",\"stage\":%S" st)
-         | None -> ());
-         match r.Engine.Checkpoint.backtrace with
-         | Some bt -> Buffer.add_string buf (Printf.sprintf ",\"backtrace\":%S" bt)
-         | None -> ()
+         add ",\"message\":%s" (J.quote r.Engine.Checkpoint.message);
+         Option.iter (fun st -> add ",\"stage\":%s" (J.quote st))
+           r.Engine.Checkpoint.stage;
+         Option.iter (fun bt -> add ",\"backtrace\":%s" (J.quote bt))
+           r.Engine.Checkpoint.backtrace
        end
        else
-         Buffer.add_string buf
-           (Printf.sprintf
-              ",\"converged\":%b,\"newton\":%d,\"residual\":%s,\"h1\":%s,\"thd\":%s,\"waveform_hash\":%S"
-              r.Engine.Checkpoint.converged r.Engine.Checkpoint.newton
-              (sweep_json_float r.Engine.Checkpoint.residual)
-              (sweep_json_float r.Engine.Checkpoint.h1)
-              (sweep_json_float r.Engine.Checkpoint.thd)
-              r.Engine.Checkpoint.waveform_hash));
+         add
+           ",\"converged\":%b,\"newton\":%d,\"residual\":%s,\"h1\":%s,\"thd\":%s,\"waveform_hash\":%s"
+           r.Engine.Checkpoint.converged r.Engine.Checkpoint.newton
+           (num r.Engine.Checkpoint.residual)
+           (num r.Engine.Checkpoint.h1)
+           (num r.Engine.Checkpoint.thd)
+           (J.quote r.Engine.Checkpoint.waveform_hash));
       if not no_wall then
-        Buffer.add_string buf
-          (Printf.sprintf ",\"wall_seconds\":%.6f"
-             r.Engine.Checkpoint.wall_seconds);
-      Buffer.add_string buf "}")
+        add ",\"wall_seconds\":%.6f" r.Engine.Checkpoint.wall_seconds;
+      add "}")
     records;
-  Buffer.add_string buf "\n]\n";
+  add "\n]\n";
   print_string (Buffer.contents buf)
 
 (* Live progress meter for --progress. [on_outcome] fires on whichever
@@ -586,7 +578,6 @@ let p99_or_zero (h : Telemetry.histogram) =
    wall, per-domain busy/utilization, retry counts, GC pause stats). *)
 let write_merged_trace ~file ~domains ~wall ~gc
     (outcomes : Engine.Sweep.outcome array) =
-  let module J = Diagnostics.Json_min in
   let pid = Unix.getpid () in
   let parts =
     Array.to_list outcomes
@@ -848,7 +839,6 @@ let format_seconds s =
   else Printf.sprintf "%.3fs" s
 
 let report_cmd file top =
-  let module J = Diagnostics.Json_min in
   match
     let ic = open_in file in
     let n = in_channel_length ic in
@@ -1201,30 +1191,11 @@ let submit_cmd addr_spec circuit engine f_fast fd n1 n2 tol max_newton
       prerr_endline e;
       1
   | Ok addr -> (
-      let b = Buffer.create 256 in
-      let esc = Diagnostics.Json_min.escape_string in
-      Buffer.add_string b
-        (Printf.sprintf "{\"v\":%s,\"circuit\":%s,\"engine\":%s"
-           (esc Serve.Protocol.version) (esc circuit) (esc engine));
-      let opt_num name = function
-        | None -> ()
-        | Some v ->
-            Buffer.add_string b (Printf.sprintf ",\"%s\":%.17g" name v)
+      let body =
+        Serve.Protocol.request_line ~circuit ~engine ?f_fast ?fd ~n1 ~n2 ~tol
+          ~max_newton ?wall_seconds:budget_seconds ~warm:(not no_warm) ()
       in
-      opt_num "f_fast" f_fast;
-      opt_num "fd" fd;
-      Buffer.add_string b
-        (Printf.sprintf
-           ",\"options\":{\"n1\":%d,\"n2\":%d,\"tol\":%.17g,\"max_newton\":%d}"
-           n1 n2 tol max_newton);
-      (match budget_seconds with
-      | Some s ->
-          Buffer.add_string b
-            (Printf.sprintf ",\"budget\":{\"wall_seconds\":%.17g}" s)
-      | None -> ());
-      if no_warm then Buffer.add_string b ",\"warm\":false";
-      Buffer.add_char b '}';
-      match Observe.Client.post ~timeout:600.0 addr "/jobs" (Buffer.contents b) with
+      match Observe.Client.post ~timeout:600.0 addr "/jobs" body with
       | Error e ->
           prerr_endline e;
           1
@@ -1232,7 +1203,6 @@ let submit_cmd addr_spec circuit engine f_fast fd n1 n2 tol max_newton
           print_string body;
           (* Exit status mirrors the stream: error event or a
              non-converged result fails the submission. *)
-          let module J = Diagnostics.Json_min in
           let lines =
             String.split_on_char '\n' body |> List.filter (fun l -> l <> "")
           in
@@ -1288,7 +1258,6 @@ let scrape_cmd addr_spec path validate =
 (* ---------- rfss top: live sweep dashboard ---------- *)
 
 let top_cmd addr_spec interval once =
-  let module J = Diagnostics.Json_min in
   match Observe.Addr.parse addr_spec with
   | Error e ->
       prerr_endline e;

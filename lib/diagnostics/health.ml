@@ -105,26 +105,23 @@ let summary_line h =
   Buffer.contents buf
 
 let to_json h =
-  let opt = function
-    | Some v -> Json_min.Num v
-    | None -> Json_min.Null
-  in
-  Json_min.to_string
-    (Json_min.Obj
+  let open Telemetry.Json in
+  let opt = function Some v -> Num v | None -> Null in
+  let int i = Num (float_of_int i) in
+  to_string
+    (Obj
        [
-         ("convergence", Json_min.Str (Convergence.to_string h.convergence));
-         ("converged", Json_min.Bool h.converged);
-         ("newton_iterations", Json_min.Num (float_of_int h.newton_iterations));
-         ("linear_iterations", Json_min.Num (float_of_int h.linear_iterations));
-         ("residual_norm", Json_min.Num h.residual_norm);
-         ("strategy", Json_min.Str h.strategy);
+         ("convergence", Str (Convergence.to_string h.convergence));
+         ("converged", Bool h.converged);
+         ("newton_iterations", int h.newton_iterations);
+         ("linear_iterations", int h.linear_iterations);
+         ("residual_norm", Num h.residual_norm);
+         ("strategy", Str h.strategy);
          ("condition_estimate", opt h.condition_estimate);
          ("diagonal_residual", opt h.diagonal_residual);
          ( "stage_iterations",
-           Json_min.Obj
-             (List.map
-                (fun (name, it) -> (name, Json_min.Num (float_of_int it)))
-                h.stage_iterations) );
+           Obj (List.map (fun (name, it) -> (name, int it)) h.stage_iterations)
+         );
        ])
 
 let attach h report = Resilience.Report.add_section report "diagnostics" (to_json h)

@@ -23,25 +23,23 @@ type record = {
 
    The job key is the versioned canonical identity from [Key]
    (rfss.key/1); the waveform fingerprint and the per-record digest
-   reuse its FNV-1a primitives. *)
+   use the same FNV-1a primitives. *)
 
-let fnv_basis = Key.fnv_basis
-let mix_string = Key.mix_string
-let mix_float = Key.mix_float
-let mix_int = Key.mix_int
-let hex = Key.hex
+module Fnv = Telemetry.Fnv
+module J = Telemetry.Json
 
 let job_key ~label ~engine ~f_fast ~fd ~options =
   Key.hash ~label ~engine ~f_fast ~fd ~options
 
 let waveform_hash (w : Backend.Result.waveform) =
-  let h = ref fnv_basis in
-  Array.iter (fun v -> h := mix_float !h v) w.Backend.Result.times;
-  Array.iter (fun v -> h := mix_float !h v) w.Backend.Result.values;
-  hex !h
+  let h = ref Fnv.basis in
+  Array.iter (fun v -> h := Fnv.mix_float !h v) w.Backend.Result.times;
+  Array.iter (fun v -> h := Fnv.mix_float !h v) w.Backend.Result.values;
+  Fnv.hex !h
 
 let digest r =
-  let h = fnv_basis in
+  let open Fnv in
+  let h = basis in
   let h = mix_string h r.key in
   let h = mix_string h r.label in
   let h = mix_string h r.engine in
@@ -63,68 +61,46 @@ let digest r =
 
 (* ---------- serialization ----------
 
-   Hand-emitted: Json_min prints floats with a bare %.17g, which is not
-   valid JSON for nan/inf, and sweep metrics (h1, thd) are legitimately
-   NaN on error rows. Same convention as Resilience.Report: non-finite
-   floats become quoted strings. *)
-
-let json_float v =
-  if Float.is_nan v then "\"nan\""
-  else if v = Float.infinity then "\"inf\""
-  else if v = Float.neg_infinity then "\"-inf\""
-  else Printf.sprintf "%.17g" v
-
-let esc = Diagnostics.Json_min.escape_string
+   Sweep metrics (h1, thd) are legitimately NaN on error rows; the
+   shared codec writes non-finite floats as quoted strings. The report
+   is itself JSON but is stored as an escaped string, because the
+   digest hashes its exact bytes. *)
 
 let to_line r =
-  let b = Buffer.create 512 in
-  Buffer.add_string b "{\"v\":1";
-  let field name value =
-    Buffer.add_string b ",\"";
-    Buffer.add_string b name;
-    Buffer.add_string b "\":";
-    Buffer.add_string b value
-  in
-  field "key" (esc r.key);
-  field "label" (esc r.label);
-  field "engine" (esc r.engine);
-  field "f_fast" (json_float r.f_fast);
-  field "fd" (json_float r.fd);
-  field "status" (esc r.status);
-  field "converged" (string_of_bool r.converged);
-  field "newton" (string_of_int r.newton);
-  field "residual" (json_float r.residual);
-  field "h1" (json_float r.h1);
-  field "thd" (json_float r.thd);
-  field "waveform_hash" (esc r.waveform_hash);
-  field "attempts" (string_of_int r.attempts);
-  field "wall_seconds" (json_float r.wall_seconds);
-  field "message" (esc r.message);
-  (match r.stage with Some s -> field "stage" (esc s) | None -> ());
-  (match r.backtrace with Some s -> field "backtrace" (esc s) | None -> ());
-  (* The report is itself JSON, but it is stored as an escaped string:
-     embedding it as a sub-object would re-emit through Json_min on
-     load, which does not round-trip float formatting byte-for-byte —
-     and the digest must. *)
-  (match r.report with Some j -> field "report" (esc j) | None -> ());
-  field "digest" (esc (digest r));
-  Buffer.add_char b '}';
-  Buffer.contents b
-
-let float_of_json = function
-  | Diagnostics.Json_min.Num v -> Some v
-  | Diagnostics.Json_min.Str "nan" -> Some Float.nan
-  | Diagnostics.Json_min.Str "inf" -> Some Float.infinity
-  | Diagnostics.Json_min.Str "-inf" -> Some Float.neg_infinity
-  | _ -> None
+  let opt name = function Some s -> [ (name, J.Str s) ] | None -> [] in
+  let int i = J.Num (float_of_int i) in
+  J.to_string
+    (J.Obj
+       ([
+          ("v", int 1);
+          ("key", J.Str r.key);
+          ("label", J.Str r.label);
+          ("engine", J.Str r.engine);
+          ("f_fast", J.Num r.f_fast);
+          ("fd", J.Num r.fd);
+          ("status", J.Str r.status);
+          ("converged", J.Bool r.converged);
+          ("newton", int r.newton);
+          ("residual", J.Num r.residual);
+          ("h1", J.Num r.h1);
+          ("thd", J.Num r.thd);
+          ("waveform_hash", J.Str r.waveform_hash);
+          ("attempts", int r.attempts);
+          ("wall_seconds", J.Num r.wall_seconds);
+          ("message", J.Str r.message);
+        ]
+       @ opt "stage" r.stage
+       @ opt "backtrace" r.backtrace
+       @ opt "report" r.report
+       @ [ ("digest", J.Str (digest r)) ]))
 
 let of_line line =
-  match Diagnostics.Json_min.parse line with
-  | exception Diagnostics.Json_min.Parse_error _ -> None
+  match J.parse line with
+  | exception J.Parse_error _ -> None
   | j ->
-      let open Diagnostics.Json_min in
+      let open J in
       let str_f name = Option.bind (member name j) str in
-      let num_f name = Option.bind (member name j) float_of_json in
+      let num_f name = Option.bind (member name j) to_float in
       let int_f name =
         Option.map int_of_float (Option.bind (member name j) num)
       in

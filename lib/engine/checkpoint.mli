@@ -68,6 +68,14 @@ val digest : record -> string
 (** Hash of the record's serialized content (excluding any previous
     digest), stored on write and checked on load. *)
 
+val to_line : record -> string
+(** One JSONL line (no newline), printed by {!Telemetry.Json}. *)
+
+val of_line : string -> record option
+(** Inverse of {!to_line}: [None] on malformed JSON, a missing field or
+    a digest mismatch. [of_line (to_line r) = Some r] bitwise for any
+    strings, finite floats, [Float.nan] and ±inf. *)
+
 type t
 (** An open checkpoint log (in-memory records + path). Internally
     mutexed: {!append} may be called concurrently from sweep worker

@@ -242,9 +242,24 @@ let warm_starts t = Atomic.get t.warm_solves
 
 let status_json t =
   let cs = Cache.stats t.cache in
-  Printf.sprintf
-    "{\"v\":%s,\"workers\":%d,\"queue_depth\":%d,\"submitted\":%d,\"completed\":%d,\"failed\":%d,\"cache\":{\"hits\":%d,\"misses\":%d,\"evictions\":%d,\"entries\":%d},\"warm\":{\"starts\":%d,\"entries\":%d}}"
-    (Diagnostics.Json_min.escape_string Protocol.version)
-    t.workers (queue_depth t) (Atomic.get t.submitted) (Atomic.get t.completed)
-    (Atomic.get t.failed) cs.Cache.hits cs.Cache.misses cs.Cache.evictions
-    cs.Cache.entries (Atomic.get t.warm_solves) (Warm.size t.warm)
+  let open Telemetry.Json in
+  let ints = List.map (fun (k, v) -> (k, Num (float_of_int v))) in
+  to_string
+    (Obj
+       ((("v", Str Protocol.version)
+        :: ints
+             [ ("workers", t.workers); ("queue_depth", queue_depth t);
+               ("submitted", Atomic.get t.submitted);
+               ("completed", Atomic.get t.completed);
+               ("failed", Atomic.get t.failed) ])
+       @ [ ( "cache",
+             Obj
+               (ints
+                  [ ("hits", cs.Cache.hits); ("misses", cs.Cache.misses);
+                    ("evictions", cs.Cache.evictions);
+                    ("entries", cs.Cache.entries) ]) );
+           ( "warm",
+             Obj
+               (ints
+                  [ ("starts", Atomic.get t.warm_solves);
+                    ("entries", Warm.size t.warm) ]) ) ]))

@@ -17,7 +17,7 @@
    byte for byte — which is the identity the cache tests and the CI
    smoke assert. *)
 
-module J = Diagnostics.Json_min
+module J = Telemetry.Json
 
 let version = "rfss.jobs/1"
 
@@ -218,28 +218,43 @@ let parse_job body =
 
 (* ---------- response lines ---------- *)
 
-(* Same non-finite-float convention as Checkpoint: residuals on failed
-   solves are legitimately nan/inf, which bare %.17g would emit as
-   invalid JSON. *)
-let json_float v =
-  if Float.is_nan v then "\"nan\""
-  else if v = Float.infinity then "\"inf\""
-  else if v = Float.neg_infinity then "\"-inf\""
-  else Printf.sprintf "%.17g" v
+let line fields = J.to_string (J.Obj (("v", J.Str version) :: fields))
 
-let esc = J.escape_string
+let int i = J.Num (float_of_int i)
+
+let request_line ~circuit ~engine ?f_fast ?fd ~n1 ~n2 ~tol ~max_newton
+    ?wall_seconds ~warm () =
+  let opt name = function Some v -> [ (name, J.Num v) ] | None -> [] in
+  line
+    ([ ("circuit", J.Str circuit); ("engine", J.Str engine) ]
+    @ opt "f_fast" f_fast @ opt "fd" fd
+    @ [
+        ( "options",
+          J.Obj
+            [
+              ("n1", int n1);
+              ("n2", int n2);
+              ("tol", J.Num tol);
+              ("max_newton", int max_newton);
+            ] );
+      ]
+    @ (match wall_seconds with
+      | Some s -> [ ("budget", J.Obj [ ("wall_seconds", J.Num s) ]) ]
+      | None -> [])
+    @ if warm then [] else [ ("warm", J.Bool false) ])
 
 let accepted_line ~id ~key ~cache_hit =
-  Printf.sprintf "{\"v\":%s,\"event\":\"accepted\",\"id\":%d,\"key\":%s,\"cache\":%s}"
-    (esc version) id (esc key)
-    (esc (if cache_hit then "hit" else "miss"))
+  line
+    [
+      ("event", J.Str "accepted");
+      ("id", int id);
+      ("key", J.Str key);
+      ("cache", J.Str (if cache_hit then "hit" else "miss"));
+    ]
 
-let error_line msg =
-  Printf.sprintf "{\"v\":%s,\"event\":\"error\",\"message\":%s}" (esc version)
-    (esc msg)
+let error_line msg = line [ ("event", J.Str "error"); ("message", J.Str msg) ]
 
-let done_line ~id =
-  Printf.sprintf "{\"v\":%s,\"event\":\"done\",\"id\":%d}" (esc version) id
+let done_line ~id = line [ ("event", J.Str "done"); ("id", int id) ]
 
 (* The exact CSV the CLI prints for a single solve, so "served" and
    "direct" outputs can be compared byte for byte. *)
@@ -254,34 +269,21 @@ let waveform_csv ~output_node (w : Engine.Result.waveform) =
   Buffer.contents b
 
 let result_line ~key ~warm_started job (r : Engine.Result.t) =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"v\":";
-  Buffer.add_string b (esc version);
-  let field name value =
-    Buffer.add_string b ",\"";
-    Buffer.add_string b name;
-    Buffer.add_string b "\":";
-    Buffer.add_string b value
-  in
-  field "event" "\"result\"";
-  field "key" (esc key);
-  field "label" (esc r.Engine.Result.label);
-  field "engine" (esc (Engine.kind_name r.Engine.Result.kind));
-  field "converged" (string_of_bool r.Engine.Result.converged);
-  field "newton" (string_of_int r.Engine.Result.newton_iterations);
-  field "residual" (json_float r.Engine.Result.residual_norm);
-  field "wall_seconds" (json_float r.Engine.Result.wall_seconds);
-  field "warm_started" (string_of_bool warm_started);
-  field "metrics"
-    ("{"
-    ^ String.concat ","
-        (List.map
-           (fun (k, v) -> Printf.sprintf "%s:%s" (esc k) (json_float v))
-           r.Engine.Result.metrics)
-    ^ "}");
-  field "waveform_csv"
-    (esc
-       (waveform_csv ~output_node:job.fixture.Catalog.output_node
-          r.Engine.Result.waveform));
-  Buffer.add_char b '}';
-  Buffer.contents b
+  line
+    [
+      ("event", J.Str "result");
+      ("key", J.Str key);
+      ("label", J.Str r.Engine.Result.label);
+      ("engine", J.Str (Engine.kind_name r.Engine.Result.kind));
+      ("converged", J.Bool r.Engine.Result.converged);
+      ("newton", int r.Engine.Result.newton_iterations);
+      ("residual", J.Num r.Engine.Result.residual_norm);
+      ("wall_seconds", J.Num r.Engine.Result.wall_seconds);
+      ("warm_started", J.Bool warm_started);
+      ( "metrics",
+        J.Obj (List.map (fun (k, v) -> (k, J.Num v)) r.Engine.Result.metrics) );
+      ( "waveform_csv",
+        J.Str
+          (waveform_csv ~output_node:job.fixture.Catalog.output_node
+             r.Engine.Result.waveform) );
+    ]

@@ -39,6 +39,14 @@ val parse_job : string -> (job, string) result
     circuits/engines, non-positive tones and malformed budgets are
     rejected with a message suitable for the 400 body. *)
 
+val request_line :
+  circuit:string -> engine:string -> ?f_fast:float -> ?fd:float -> n1:int ->
+  n2:int -> tol:float -> max_newton:int -> ?wall_seconds:float -> warm:bool ->
+  unit -> string
+(** The request body [rfss submit] posts. Omitted tones fall back to
+    the fixture defaults on the server; ["warm"] is written only when
+    false. *)
+
 val accepted_line : id:int -> key:string -> cache_hit:bool -> string
 
 val error_line : string -> string
@@ -55,7 +63,3 @@ val waveform_csv :
 (** Exactly the CSV the CLI prints for a single solve ([t,v(node)]
     header, [%.9e,%.6e] rows) so served and direct outputs compare
     byte for byte. *)
-
-val json_float : float -> string
-(** [%.17g], with nan/±inf as quoted strings (the {!Checkpoint}
-    convention). *)

@@ -216,10 +216,10 @@ let test_registry_of_telemetry () =
   Alcotest.(check (float 0.0)) "span calls" 1.0
     (value ~labels:[ ("span", "outer") ] "span.calls")
 
-(* ---------- Json_min ---------- *)
+(* ---------- Telemetry.Json ---------- *)
 
 let test_json_round_trip () =
-  let open D.Json_min in
+  let open Telemetry.Json in
   let doc =
     Obj
       [
@@ -235,14 +235,66 @@ let test_json_round_trip () =
   Alcotest.(check bool) "round-trips" true (doc = doc');
   Alcotest.(check bool) "path" true
     (path [ "a" ] doc' <> None
-    && (match path [ "s" ] doc' with Some (Str s) -> s = "a \"quoted\"\nline" | _ -> false))
+    && (match path [ "s" ] doc' with Some (Str s) -> s = "a \"quoted\"\nline" | _ -> false));
+  (* Every byte string survives quote -> parse, control bytes included. *)
+  let all_bytes = String.init 256 Char.chr in
+  Alcotest.(check bool) "all 256 bytes" true
+    (parse (quote all_bytes) = Str all_bytes);
+  (* Every escape JSON defines decodes: \uXXXX to UTF-8 (surrogate
+     pairs too), \b, \f and \/. *)
+  Alcotest.(check bool) "escapes decode" true
+    (parse {|"\u00e9\u20ac\ud83d\ude00\u001b\b\f\/\r"|}
+    = Str "\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80\027\b\012/\r");
+  (* The non-finite rule: quoted on the way out, [to_float] reads it
+     back, [num] stays strict. *)
+  Alcotest.(check string) "non-finite printed quoted"
+    {|["nan","inf","-inf",-0]|}
+    (to_string (Arr [ Num Float.nan; Num Float.infinity; Num Float.neg_infinity; Num (-0.0) ]));
+  Alcotest.(check bool) "to_float reads inf" true
+    (to_float (Str "-inf") = Some Float.neg_infinity);
+  Alcotest.(check bool) "num is strict" true (num (Str "inf") = None);
+  Alcotest.(check string) "number digits" "1.500e+00" (number ~digits:3 1.5)
+
+(* Random trees over arbitrary byte strings and finite floats (random
+   bit patterns and small integers). *)
+let gen_json =
+  let module J = Telemetry.Json in
+  let open QCheck.Gen in
+  let str = string_size ~gen:char (0 -- 12) in
+  let bits = map Int64.float_of_bits ui64 in
+  let num = oneof [ bits; map float_of_int (-1_000_000 -- 1_000_000) ] in
+  let num = map (fun f -> if Float.is_finite f then f else 0.5) num in
+  let leaf =
+    oneof
+      [ return J.Null; map (fun b -> J.Bool b) bool;
+        map (fun f -> J.Num f) num; map (fun s -> J.Str s) str ]
+  in
+  sized_size (0 -- 4)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           let items g = list_size (0 -- 4) g in
+           frequency
+             [ (1, leaf);
+               (2, map (fun l -> J.Arr l) (items (self (n - 1))));
+               (2, map (fun l -> J.Obj l) (items (pair str (self (n - 1))))) ])
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"parse (to_string j) = j"
+    (QCheck.make ~print:Telemetry.Json.to_string gen_json) (fun j ->
+      Telemetry.Json.(parse (to_string j)) = j)
 
 let test_json_parse_errors () =
-  let open D.Json_min in
+  let open Telemetry.Json in
   let fails s = match parse s with exception Parse_error _ -> true | _ -> false in
   Alcotest.(check bool) "trailing garbage" true (fails "{} x");
   Alcotest.(check bool) "unterminated" true (fails "{\"a\": ");
-  Alcotest.(check bool) "bare word" true (fails "bogus")
+  Alcotest.(check bool) "bare word" true (fails "bogus");
+  Alcotest.(check bool) "short \\u swallows no quote" true (fails {|"\u12"|});
+  Alcotest.(check bool) "bad hex" true (fails {|"\uZZZZ"|});
+  Alcotest.(check bool) "lone low surrogate" true (fails {|"\udc00"|});
+  Alcotest.(check bool) "unpaired high surrogate" true (fails {|"\ud800x"|});
+  Alcotest.(check bool) "unknown escape" true (fails {|"\q"|})
 
 (* ---------- Gate ---------- *)
 
@@ -252,7 +304,7 @@ let bench_doc ?(converged = true) ?(wall = 1.0) ?(newton = 10.0) ?(gmres = 50.0)
     ?(sweep_speedup = 1.6) ?(sweep_speedup_4 = 1.4) ?(cores = 4.0)
     ?(retries = 0.0) ?(degraded = 0.0) ?(util_2 = 0.9) ?(util_4 = 0.8)
     ?(gc_major_p99 = 0.001) () =
-  let open D.Json_min in
+  let open Telemetry.Json in
   Obj
     [
       ( "mixer",
@@ -339,7 +391,7 @@ let test_gate_hard_errors () =
   in
   Alcotest.(check bool) "non-convergence fails" false r.D.Gate.passed;
   Alcotest.(check bool) "with an error" true (r.D.Gate.errors <> []);
-  let open D.Json_min in
+  let open Telemetry.Json in
   let r =
     D.Gate.evaluate ~baseline:(bench_doc ())
       ~current:(Obj [ ("mixer", Obj [ ("converged", Bool true) ]) ])
@@ -517,8 +569,8 @@ let test_health_of_solution () =
     (String.length line > 0 && String.sub line 0 7 = "health:");
   (* The JSON section must be parseable and must carry the headline
      numbers; the registry export must carry the marker gauge. *)
-  (match D.Json_min.parse (D.Health.to_json h) with
-  | D.Json_min.Obj fields ->
+  (match Telemetry.Json.parse (D.Health.to_json h) with
+  | Telemetry.Json.Obj fields ->
       Alcotest.(check bool) "json has convergence" true
         (List.mem_assoc "convergence" fields && List.mem_assoc "newton_iterations" fields)
   | _ -> Alcotest.fail "health json is not an object");
@@ -685,6 +737,7 @@ let () =
         [
           Alcotest.test_case "round-trip" `Quick test_json_round_trip;
           Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
+          QCheck_alcotest.to_alcotest prop_json_roundtrip;
         ] );
       ( "gate",
         [

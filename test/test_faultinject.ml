@@ -331,16 +331,62 @@ let test_checkpoint_roundtrip () =
     Engine.Sweep.run ~domains:1 (sweep_jobs ~labels:[| "fd=1000" |] ())
   in
   let r = Engine.Checkpoint.of_outcome outcomes.(0) in
+  (* ANSI-coloured exception text: ESC, backspace and form feed must
+     survive the escape -> parse round trip, or the digest no longer
+     matches and the record is silently dropped on load. *)
+  let ansi =
+    { r with
+      Engine.Checkpoint.key = "ansi";
+      message = "\027[31mFailure(\"caf\xc3\xa9\b\012\")\027[0m\r\n";
+    }
+  in
   let log = Engine.Checkpoint.create path in
   Engine.Checkpoint.append log r;
   (* Idempotent on key: re-appending replaces, not duplicates. *)
   Engine.Checkpoint.append log r;
+  Engine.Checkpoint.append log ansi;
   let loaded = Engine.Checkpoint.load path in
-  Alcotest.(check int) "one record" 1 (List.length loaded);
+  Alcotest.(check int) "two records" 2 (List.length loaded);
   let r' = List.hd loaded in
   Alcotest.(check bool) "bitwise round trip" true (r = r');
+  Alcotest.(check bool) "control bytes round trip" true
+    (List.nth loaded 1 = ansi);
   Alcotest.(check string) "digest stable" (Engine.Checkpoint.digest r)
     (Engine.Checkpoint.digest r')
+
+(* Random records: arbitrary bytes in every string; floats from
+   random bit patterns plus nan (the canonical one the reader yields),
+   ±inf and -0. *)
+let gen_record =
+  let open QCheck.Gen in
+  let str = string_size ~gen:char (0 -- 24) in
+  let flt =
+    frequency
+      [ (4, map Int64.float_of_bits ui64);
+        (1, oneofl [ Float.nan; Float.infinity; Float.neg_infinity; -0.0 ]) ]
+    |> map (fun f -> if Float.is_nan f then Float.nan else f)
+  in
+  let int = map (fun i -> i mod 1_000_000_000) int in
+  let* key = str and* label = str and* engine = str and* status = str in
+  let* f_fast = flt and* fd = flt and* residual = flt and* h1 = flt in
+  let* thd = flt and* wall_seconds = flt and* waveform_hash = str in
+  let* converged = bool and* newton = int and* attempts = int in
+  let* message = str and* stage = opt str and* backtrace = opt str in
+  let+ report = opt str in
+  { Engine.Checkpoint.key; label; engine; f_fast; fd; status; converged;
+    newton; residual; h1; thd; waveform_hash; attempts; wall_seconds;
+    message; stage; backtrace; report }
+
+let prop_checkpoint_line_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"line round trip (any bytes, nan, inf)"
+    (QCheck.make gen_record) (fun r ->
+      let line = Engine.Checkpoint.to_line r in
+      match Engine.Checkpoint.of_line line with
+      | Some r' ->
+          (* Marshal compares floats bit for bit, where [=] fails on nan. *)
+          Marshal.to_string r [ No_sharing ] = Marshal.to_string r' [ No_sharing ]
+          && Engine.Checkpoint.to_line r' = line
+      | None -> false)
 
 let test_checkpoint_skips_corrupt_lines () =
   let path = tmpfile () in
@@ -456,5 +502,6 @@ let () =
             test_checkpoint_skips_corrupt_lines;
           Alcotest.test_case "resume finds keys" `Quick
             test_checkpoint_resume_skips_done;
+          QCheck_alcotest.to_alcotest prop_checkpoint_line_roundtrip;
         ] );
     ]

@@ -7,7 +7,7 @@
 
 module O = Observe
 module P = Observe.Publish
-module J = Diagnostics.Json_min
+module J = Telemetry.Json
 module W = Circuit.Waveform
 
 (* Every test that arms the global publish hub runs inside this wrapper
@@ -194,7 +194,22 @@ let test_event_ring_gap () =
     (Option.bind (J.member "seq" j) J.num = Some (float_of_int e.P.seq));
   Alcotest.(check bool)
     "event json kind" true
-    (Option.bind (J.member "event" j) J.str = Some "job_started")
+    (Option.bind (J.member "event" j) J.str = Some "job_started");
+  (* A full rfss.sweep_events/1 line parses back field for field, with
+     control and non-ASCII bytes in the job label. *)
+  let e =
+    { P.seq = 7; time = 1.25; kind = "job_finished";
+      job = "caf\xc3\xa9\027[31m\b"; worker = 3;
+      fields = [ ("status", J.Str "ok"); ("wall_seconds", J.Num 0.5) ] }
+  in
+  Alcotest.(check bool)
+    "event line parses back" true
+    (J.parse (P.event_to_json e)
+    = J.Obj
+        [ ("seq", J.Num 7.0); ("time", J.Num 1.25);
+          ("event", J.Str "job_finished"); ("job", J.Str e.P.job);
+          ("worker", J.Num 3.0); ("status", J.Str "ok");
+          ("wall_seconds", J.Num 0.5) ])
 
 (* ---------- Snapshot atomicity ---------- *)
 

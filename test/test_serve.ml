@@ -6,7 +6,7 @@
    identical resubmission, and warm-start sharing (a cache-near point
    must converge in fewer Newton iterations than a cold solve). *)
 
-module J = Diagnostics.Json_min
+module J = Telemetry.Json
 
 let default = Engine.Options.default
 
@@ -141,6 +141,42 @@ let test_parse_job () =
   rejected "bad budget"
     "{\"v\":\"rfss.jobs/1\",\"circuit\":\"rc\",\"budget\":{\"wall_seconds\":-1}}";
   rejected "invalid JSON" "{\"v\":"
+
+(* The request [rfss submit] prints parses back to the same job. *)
+let prop_request_roundtrip =
+  let gen =
+    let open QCheck.Gen in
+    let pos = float_range 1e-9 1e12 in
+    let* circuit = oneofl (List.map (fun f -> f.Serve.Catalog.name) Serve.Catalog.all) in
+    let* engine = oneofl Engine.all_kinds in
+    let* f_fast = opt pos and* fd = opt pos and* tol = pos in
+    let* n1 = 1 -- 200 and* n2 = 1 -- 200 and* max_newton = 1 -- 500 in
+    let+ wall_seconds = opt pos and+ warm = bool in
+    (circuit, engine, f_fast, fd, tol, n1, n2, max_newton, wall_seconds, warm)
+  in
+  QCheck.Test.make ~count:200 ~name:"printed request parses back"
+    (QCheck.make gen)
+    (fun (circuit, engine, f_fast, fd, tol, n1, n2, max_newton, wall_seconds, warm) ->
+      let body =
+        Serve.Protocol.request_line ~circuit
+          ~engine:(Engine.kind_name engine) ?f_fast ?fd ~n1 ~n2 ~tol
+          ~max_newton ?wall_seconds ~warm ()
+      in
+      match Serve.Protocol.parse_job body with
+      | Error e -> QCheck.Test.fail_report e
+      | Ok j ->
+          let fx = j.Serve.Protocol.fixture in
+          let o = j.Serve.Protocol.options in
+          fx.Serve.Catalog.name = circuit
+          && j.Serve.Protocol.engine = engine
+          && j.Serve.Protocol.f_fast
+             = Option.value f_fast ~default:fx.Serve.Catalog.default_fast
+          && j.Serve.Protocol.fd
+             = Option.value fd ~default:fx.Serve.Catalog.default_fd
+          && o = { Engine.Options.default with n1; n2; tol; max_newton }
+          && j.Serve.Protocol.wall_seconds = wall_seconds
+          && j.Serve.Protocol.max_newton_budget = None
+          && j.Serve.Protocol.warm = warm)
 
 (* ---------- service helpers ---------- *)
 
@@ -394,7 +430,10 @@ let () =
       ( "cache",
         [ Alcotest.test_case "LRU hit/miss/eviction" `Quick test_cache_lru ] );
       ( "protocol",
-        [ Alcotest.test_case "request parsing" `Quick test_parse_job ] );
+        [
+          Alcotest.test_case "request parsing" `Quick test_parse_job;
+          QCheck_alcotest.to_alcotest prop_request_roundtrip;
+        ] );
       ( "service",
         [
           Alcotest.test_case "served CSV = direct CSV" `Quick
