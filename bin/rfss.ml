@@ -69,12 +69,12 @@ type telemetry_opts = {
    health assessment); merged with the telemetry-derived samples when
    --metrics is written. One command runs per process, so a single
    shared registry is safe. *)
-let metrics_registry = Diagnostics.Registry.create ()
+let metrics_registry = Telemetry.Registry.create ()
 
 let write_metrics file registry =
   let text =
-    if Filename.check_suffix file ".csv" then Diagnostics.Registry.to_csv registry
-    else Diagnostics.Registry.to_prometheus registry
+    if Filename.check_suffix file ".csv" then Telemetry.Registry.to_csv registry
+    else Telemetry.Registry.to_prometheus registry
   in
   let oc = open_out file in
   output_string oc text;
@@ -103,7 +103,7 @@ let with_telemetry opts f =
             (match opts.metrics with
             | Some file ->
                 write_metrics file
-                  (Diagnostics.Registry.of_telemetry ~registry:metrics_registry
+                  (Telemetry.Registry.of_telemetry ~registry:metrics_registry
                      snap)
             | None -> ()));
         Telemetry.disable ())
@@ -1237,7 +1237,7 @@ let scrape_cmd addr_spec path validate =
           1
       | Ok (200, _, body) ->
           if validate then begin
-            match Diagnostics.Registry.parse_prometheus body with
+            match Telemetry.Registry.parse_prometheus body with
             | exception Failure e ->
                 Printf.eprintf "invalid Prometheus exposition: %s\n" e;
                 1

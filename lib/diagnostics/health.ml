@@ -127,35 +127,35 @@ let to_json h =
 let attach h report = Resilience.Report.add_section report "diagnostics" (to_json h)
 
 let to_registry ?registry h =
-  let r = match registry with Some r -> r | None -> Registry.create () in
-  Registry.gauge ~help:"Newton iterations of the assessed solve" r
-    "health.newton_iterations"
+  let r =
+    match registry with Some r -> r | None -> Telemetry.Registry.create ()
+  in
+  let g ?help ?labels name v = Telemetry.Registry.gauge ?help ?labels r name v in
+  g ~help:"Newton iterations of the assessed solve" "health.newton_iterations"
     (float_of_int h.newton_iterations);
-  Registry.gauge ~help:"GMRES inner iterations of the assessed solve" r
+  g ~help:"GMRES inner iterations of the assessed solve"
     "health.linear_iterations"
     (float_of_int h.linear_iterations);
-  Registry.gauge ~help:"final residual infinity norm" r "health.residual_norm"
+  g ~help:"final residual infinity norm" "health.residual_norm"
     h.residual_norm;
-  Registry.gauge ~help:"1 when the solve converged" r "health.converged"
+  g ~help:"1 when the solve converged" "health.converged"
     (if h.converged then 1.0 else 0.0);
-  Registry.gauge
-    ~help:"marker gauge; the class label carries the assessment"
+  g ~help:"marker gauge; the class label carries the assessment"
     ~labels:[ ("class", Convergence.to_string h.convergence) ]
-    r "health.convergence" 1.0;
+    "health.convergence" 1.0;
   (match h.condition_estimate with
   | Some k ->
-      Registry.gauge ~help:"Jacobian condition estimate (power iteration)" r
+      g ~help:"Jacobian condition estimate (power iteration)"
         "health.condition_estimate" k
   | None -> ());
   (match h.diagonal_residual with
   | Some d ->
-      Registry.gauge ~help:"relative diagonal-consistency residual" r
+      g ~help:"relative diagonal-consistency residual"
         "health.diagonal_residual" d
   | None -> ());
   List.iter
     (fun (stage, it) ->
-      Registry.gauge
-        ~labels:[ ("stage", stage) ]
-        r "health.stage_iterations" (float_of_int it))
+      g ~labels:[ ("stage", stage) ] "health.stage_iterations"
+        (float_of_int it))
     h.stage_iterations;
   r

@@ -54,7 +54,7 @@ val to_json : t -> string
 val attach : t -> Resilience.Report.t -> Resilience.Report.t
 (** Append this assessment as the report's ["diagnostics"] section. *)
 
-val to_registry : ?registry:Registry.t -> t -> Registry.t
+val to_registry : ?registry:Telemetry.Registry.t -> t -> Telemetry.Registry.t
 (** Export as metrics: [health.newton_iterations],
     [health.residual_norm], [health.condition_estimate],
     [health.diagonal_residual] gauges and a

@@ -1,5 +1,5 @@
 module J = Telemetry.Json
-module Registry = Diagnostics.Registry
+module Registry = Telemetry.Registry
 
 type worker = {
   w_busy : bool;
@@ -51,14 +51,10 @@ let empty_counts =
   { total = 0; started = 0; finished = 0; failed = 0; degraded_jobs = 0;
     retries = 0; checkpoints = 0 }
 
-let empty_hist : Telemetry.histogram =
-  { count = 0; sum = 0.0; min = 0.0; max = 0.0;
-    buckets = Array.make Telemetry.bucket_count 0 }
-
 let initial_stats () =
   { phase = "idle"; counts = empty_counts; domains = 1; deadline = None;
     t0 = 0.0; updated = 0.0; worst = "none"; worst_rank = -1;
-    workers = [||]; job_wall = empty_hist }
+    workers = [||]; job_wall = Telemetry.Hist.(freeze (create ())) }
 
 (* ------------------------------------------------------------------ *)
 (* Arming and the aggregate-stats cell.                               *)
@@ -84,18 +80,6 @@ let with_worker workers i f =
   Array.blit workers 0 next 0 (Array.length workers);
   next.(i) <- f next.(i);
   next
-
-let hist_observe (h : Telemetry.histogram) v : Telemetry.histogram =
-  let buckets = Array.copy h.buckets in
-  let i = Telemetry.bucket_index v in
-  buckets.(i) <- buckets.(i) + 1;
-  {
-    count = h.count + 1;
-    sum = h.sum +. v;
-    min = (if h.count = 0 then v else Float.min h.min v);
-    max = (if h.count = 0 then v else Float.max h.max v);
-    buckets;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Event ring.                                                        *)
@@ -141,21 +125,8 @@ let events_since since =
       done;
       { next_seq = !ring_next; oldest_seq = !ring_oldest; events = !acc })
 
-(* ------------------------------------------------------------------ *)
-(* Extra metric samples (merged telemetry etc).                       *)
-
-let extra_metrics :
-    (Registry.sample list
-    * (string * (string * string) list * Telemetry.histogram) list)
-    Atomic.t =
-  Atomic.make ([], [])
-
-let set_metrics reg =
-  Atomic.set extra_metrics (Registry.samples reg, Registry.histograms reg)
-
 let reset () =
   Atomic.set state (initial_stats ());
-  Atomic.set extra_metrics ([], []);
   Mutex.protect ring_mutex (fun () ->
       Array.fill !ring 0 (Array.length !ring) None;
       ring_next := 1;
@@ -191,7 +162,7 @@ let run_started ?deadline ?(domains = 1) ~phase:_ ~total () =
           worst = "none";
           worst_rank = -1;
           workers = [||];
-          job_wall = empty_hist });
+          job_wall = Telemetry.Hist.(freeze (create ())) });
     push_event "run_started" ~job:"" ~worker:(-1)
       [ ("total", J.Num (float_of_int total));
         ("domains", J.Num (float_of_int domains)) ]
@@ -239,7 +210,13 @@ let job_finished ~job ~worker ~status ~health ~wall_seconds ~attempts =
                   w_job = None;
                   w_jobs_done = w.w_jobs_done + 1;
                   w_busy_seconds = w.w_busy_seconds +. wall_seconds });
-          job_wall = hist_observe s.job_wall wall_seconds });
+          job_wall =
+            (* The published record is immutable: a fresh accumulator
+               seeded with the old histogram takes the sample. *)
+            (let a = Telemetry.Hist.create () in
+             Telemetry.Hist.merge a s.job_wall;
+             Telemetry.Hist.add a wall_seconds;
+             Telemetry.Hist.freeze a) });
     push_event "job_finished" ~job ~worker
       [ ("status", J.Str status);
         ("health", (match health with Some h -> J.Str h | None -> J.Null));
@@ -383,17 +360,6 @@ let registry_snapshot () =
     s.workers;
   Registry.histogram ~help:"Wall seconds per finished job" r
     "sweep.job_wall_seconds" s.job_wall;
-  let samples, hists = Atomic.get extra_metrics in
-  List.iter
-    (fun (smp : Registry.sample) ->
-      match smp.kind with
-      | Registry.Counter ->
-          Registry.counter ?help:smp.help ~labels:smp.labels r smp.name
-            smp.value
-      | Registry.Gauge ->
-          Registry.gauge ?help:smp.help ~labels:smp.labels r smp.name smp.value)
-    samples;
-  List.iter (fun (name, labels, h) -> Registry.histogram ~labels r name h) hists;
   r
 
 let healthz_json () =

@@ -112,11 +112,6 @@ val worker_started : worker:int -> unit
 
 val worker_stopped : worker:int -> unit
 
-val set_metrics : Diagnostics.Registry.t -> unit
-(** Stash extra samples (e.g. a merged telemetry snapshot) to be
-    included verbatim in every subsequent [/metrics] scrape. The
-    registry's samples are copied out at call time. *)
-
 val flush : unit -> unit
 (** Bump [stats.updated] to the current {!Telemetry.Clock.wall}. The
     server calls this periodically so scrapes can tell a quiet sweep
@@ -142,10 +137,11 @@ val events_header : since:int -> string
     [{"schema":"rfss.sweep_events/1","since":…,"oldest_seq":…,
       "next_seq":…,"gap":…}]. *)
 
-val registry_snapshot : unit -> Diagnostics.Registry.t
+val registry_snapshot : unit -> Telemetry.Registry.t
 (** Fresh registry rendering the current stats (sweep counters,
-    per-worker gauges, the job-wall histogram) plus anything given to
-    {!set_metrics}. Feed to {!Diagnostics.Registry.to_prometheus}. *)
+    per-worker gauges, the job-wall histogram). A scrape may write
+    further families into it (the solve service adds its [serve.*]
+    samples) before feeding it to {!Telemetry.Registry.to_prometheus}. *)
 
 val healthz_json : unit -> string
 (** The [/healthz] body, schema ["rfss.healthz/1"]. *)

@@ -88,6 +88,10 @@ let feed_custom c =
       in
       go ()
 
+let metrics_response registry =
+  Http.response ~content_type:"text/plain; version=0.0.4"
+    (Telemetry.Registry.to_prometheus registry)
+
 let builtin_paths = [ "/metrics"; "/healthz"; "/events" ]
 
 let handle_request routes c (req : Http.request) body =
@@ -100,11 +104,7 @@ let handle_request routes c (req : Http.request) body =
   | None -> (
       match (req.Http.meth, req.Http.path) with
       | "GET", "/metrics" ->
-          let body =
-            Diagnostics.Registry.to_prometheus (Publish.registry_snapshot ())
-          in
-          respond c
-            (Http.response ~content_type:"text/plain; version=0.0.4" body)
+          respond c (metrics_response (Publish.registry_snapshot ()))
       | "GET", "/healthz" ->
           respond c
             (Http.response ~content_type:"application/json"

@@ -40,6 +40,13 @@ type route = Http.request -> string -> reply option
 (** [route req body] answers [None] to fall through to the built-in
     endpoints (and 404/405 handling). *)
 
+val metrics_response : Telemetry.Registry.t -> string
+(** The [GET /metrics] reply for a scrape's registry: its Prometheus
+    text exposition as complete raw HTTP bytes. The built-in endpoint
+    answers with {!Publish.registry_snapshot}; a route owning more
+    families writes them into that snapshot first and answers with
+    this (how the solve service adds its [serve.*] samples). *)
+
 type t
 
 val start :

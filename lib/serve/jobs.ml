@@ -58,15 +58,12 @@ let poll h () =
 
 let queue_depth t = Mutex.protect t.mutex (fun () -> Queue.length t.queue)
 
-let registry t =
-  let r = Diagnostics.Registry.create () in
+let collect_metrics t r =
   let cs = Cache.stats t.cache in
   let c name v help =
-    Diagnostics.Registry.counter ~help r name (float_of_int v)
+    Telemetry.Registry.counter ~help r name (float_of_int v)
   in
-  let g name v help =
-    Diagnostics.Registry.gauge ~help r name (float_of_int v)
-  in
+  let g name v help = Telemetry.Registry.gauge ~help r name (float_of_int v) in
   c "serve.jobs_submitted" (Atomic.get t.submitted) "Jobs accepted by rfssd";
   c "serve.jobs_completed" (Atomic.get t.completed)
     "Jobs answered (cache hits included)";
@@ -80,10 +77,7 @@ let registry t =
     "Solves seeded from a cached nearby surface";
   g "serve.warm_entries" (Warm.size t.warm) "Warm-start surfaces retained";
   g "serve.queue_depth" (queue_depth t) "Jobs accepted but not yet solving";
-  g "serve.workers" t.workers "Solver worker domains";
-  r
-
-let publish_metrics t = Observe.Publish.set_metrics (registry t)
+  g "serve.workers" t.workers "Solver worker domains"
 
 (* ---------- execution ---------- *)
 
@@ -130,8 +124,7 @@ let execute t (p : pending) =
       push p.handle (Protocol.error_line (Printexc.to_string e));
       Atomic.incr t.failed);
   push p.handle (Protocol.done_line ~id:p.id);
-  finish p.handle;
-  publish_metrics t
+  finish p.handle
 
 let rec worker_loop t w =
   let next =
@@ -207,7 +200,6 @@ let submit t job =
       Mutex.protect t.mutex (fun () ->
           Queue.push { id; job; key; handle = h } t.queue;
           Condition.signal t.cond));
-  publish_metrics t;
   h
 
 let stop t =
@@ -231,8 +223,7 @@ let stop t =
       push p.handle (Protocol.done_line ~id:p.id);
       finish p.handle;
       Atomic.incr t.failed)
-    abandoned;
-  publish_metrics t
+    abandoned
 
 let cache t = t.cache
 

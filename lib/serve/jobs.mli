@@ -42,15 +42,10 @@ val warm : t -> Warm.t
 val warm_starts : t -> int
 (** Solves that started from a shared nearby surface. *)
 
-val registry : t -> Diagnostics.Registry.t
-(** Fresh [serve.*] metric samples (job counters, cache hit/miss/
-    eviction, warm-start counters, queue depth). *)
-
-val publish_metrics : t -> unit
-(** Push {!registry} into {!Observe.Publish.set_metrics} so /metrics
-    scrapes include the serve counters. Called internally after every
-    state change; callers only need it for an initial zero-valued
-    exposition. *)
+val collect_metrics : t -> Telemetry.Registry.t -> unit
+(** Write the current [serve.*] samples (job counters, cache hit/miss/
+    eviction, warm-start counters, queue depth) into a scrape's
+    registry. Read at call time, so a scrape never sees a stale copy. *)
 
 val status_json : t -> string
 (** One-line JSON status document (the [GET /jobs] body). *)

@@ -2,9 +2,10 @@
 
    The observe layer stays protocol-agnostic — it hands every parsed
    request (with framed body) to this route function first. We own
-   /jobs; everything else falls through to the built-in introspection
-   endpoints, which keep working for the service process (its worker
-   lifecycle events flow through Publish like a sweep's). *)
+   /jobs and answer GET /metrics (the built-in scrape plus the serve.*
+   families); everything else falls through to the built-in
+   introspection endpoints, which keep working for the service process
+   (its worker lifecycle events flow through Publish like a sweep's). *)
 
 let routes jobs (req : Observe.Http.request) body =
   match req.Observe.Http.path with
@@ -35,6 +36,12 @@ let routes jobs (req : Observe.Http.request) body =
           Some
             (Observe.Server.Response
                (Observe.Http.method_not_allowed ~allow:[ "GET"; "POST" ])))
+  | "/metrics" when req.Observe.Http.meth = "GET" ->
+      (* The serve.* families are pulled into the scrape's registry
+         here, so /metrics reports the service as it is right now. *)
+      let r = Observe.Publish.registry_snapshot () in
+      Jobs.collect_metrics jobs r;
+      Some (Observe.Server.Response (Observe.Server.metrics_response r))
   | _ -> None
 
 type t = { server : Observe.Server.t; jobs : Jobs.t }
@@ -45,11 +52,7 @@ let start ?workers ?cache_capacity ?warm_capacity addr =
   | Error e ->
       Jobs.stop jobs;
       Error e
-  | Ok server ->
-      (* Expose zeroed serve.* counters before the first job arrives —
-         scrapers should see the family, not an absence. *)
-      Jobs.publish_metrics jobs;
-      Ok { server; jobs }
+  | Ok server -> Ok { server; jobs }
 
 let addr t = Observe.Server.addr t.server
 

@@ -6,8 +6,9 @@
       close-delimited JSONL stream (accepted → result → done);
     - [GET /jobs] — one-line JSON status (queue depth, cache and
       warm-start counters);
-    - the built-in [GET /metrics] (including the [serve.*] family),
-      [/healthz] and [/events] endpoints keep working. *)
+    - [GET /metrics] — the built-in scrape plus the [serve.*]
+      families, read from the executor when the scrape arrives;
+    - the built-in [/healthz] and [/events] endpoints keep working. *)
 
 type t
 

@@ -43,6 +43,50 @@ type histogram = {
   buckets : int array;
 }
 
+module Hist = struct
+  type t = {
+    mutable count : int;
+    mutable sum : float;
+    mutable min : float;
+    mutable max : float;
+    buckets : int array;
+  }
+
+  let create () =
+    { count = 0; sum = 0.0; min = 0.0; max = 0.0;
+      buckets = Array.make bucket_count 0 }
+
+  (* The first sample or histogram is taken as is rather than combined
+     with the zeroed fields, which is also what keeps an empty freeze
+     at [min = max = 0]. *)
+  let fold_in a n sum lo hi =
+    if a.count = 0 then begin
+      a.sum <- sum;
+      a.min <- lo;
+      a.max <- hi
+    end
+    else begin
+      a.sum <- a.sum +. sum;
+      a.min <- Float.min a.min lo;
+      a.max <- Float.max a.max hi
+    end;
+    a.count <- a.count + n
+
+  let add a v =
+    fold_in a 1 v v v;
+    a.buckets.(bucket_index v) <- a.buckets.(bucket_index v) + 1
+
+  let merge a (h : histogram) =
+    if h.count > 0 then begin
+      fold_in a h.count h.sum h.min h.max;
+      Array.iteri (fun i n -> a.buckets.(i) <- a.buckets.(i) + n) h.buckets
+    end
+
+  let freeze a : histogram =
+    { count = a.count; sum = a.sum; min = a.min; max = a.max;
+      buckets = Array.copy a.buckets }
+end
+
 let quantile h q =
   if h.count <= 0 then Float.nan
   else begin
@@ -72,14 +116,6 @@ type snapshot = {
   histograms : (string * histogram) list;
 }
 
-type hist_acc = {
-  mutable h_count : int;
-  mutable h_sum : float;
-  mutable h_min : float;
-  mutable h_max : float;
-  h_buckets : int array;
-}
-
 type state = {
   mutable events_rev : event list;
   mutable len : int;
@@ -87,7 +123,7 @@ type state = {
   mutable stack : (int * string) list;  (** open spans, innermost first *)
   counters : (string, int ref) Hashtbl.t;
   gauges : (string, float ref) Hashtbl.t;
-  hists : (string, hist_acc) Hashtbl.t;
+  hists : (string, Hist.t) Hashtbl.t;
   wall0 : float;
   cpu0 : float;
 }
@@ -216,46 +252,22 @@ let with_alloc_gauges prefix f =
         raise e
   end
 
+let hist_of st name =
+  match Hashtbl.find_opt st.hists name with
+  | Some h -> h
+  | None ->
+      let h = Hist.create () in
+      Hashtbl.add st.hists name h;
+      h
+
 let observe name v =
-  match !(state ()) with
-  | None -> ()
-  | Some st -> (
-      match Hashtbl.find_opt st.hists name with
-      | Some h ->
-          h.h_count <- h.h_count + 1;
-          h.h_sum <- h.h_sum +. v;
-          h.h_min <- Float.min h.h_min v;
-          h.h_max <- Float.max h.h_max v;
-          h.h_buckets.(bucket_index v) <- h.h_buckets.(bucket_index v) + 1
-      | None ->
-          let b = Array.make bucket_count 0 in
-          b.(bucket_index v) <- 1;
-          Hashtbl.add st.hists name
-            { h_count = 1; h_sum = v; h_min = v; h_max = v; h_buckets = b })
+  match !(state ()) with None -> () | Some st -> Hist.add (hist_of st name) v
 
 let merge_histogram name (h : histogram) =
   if h.count > 0 then
     match !(state ()) with
     | None -> ()
-    | Some st -> (
-        match Hashtbl.find_opt st.hists name with
-        | Some a ->
-            a.h_count <- a.h_count + h.count;
-            a.h_sum <- a.h_sum +. h.sum;
-            a.h_min <- Float.min a.h_min h.min;
-            a.h_max <- Float.max a.h_max h.max;
-            Array.iteri
-              (fun i n -> a.h_buckets.(i) <- a.h_buckets.(i) + n)
-              h.buckets
-        | None ->
-            Hashtbl.add st.hists name
-              {
-                h_count = h.count;
-                h_sum = h.sum;
-                h_min = h.min;
-                h_max = h.max;
-                h_buckets = Array.copy h.buckets;
-              })
+    | Some st -> Hist.merge (hist_of st name) h
 
 let mark () = match !(state ()) with None -> 0 | Some st -> st.len
 
@@ -305,13 +317,5 @@ let snapshot ?(since = 0) () =
           duration = wall;
           counters = sorted_bindings st.counters (fun r -> !r);
           gauges = sorted_bindings st.gauges (fun r -> !r);
-          histograms =
-            sorted_bindings st.hists (fun h ->
-                {
-                  count = h.h_count;
-                  sum = h.h_sum;
-                  min = h.h_min;
-                  max = h.h_max;
-                  buckets = Array.copy h.h_buckets;
-                });
+          histograms = sorted_bindings st.hists Hist.freeze;
         }

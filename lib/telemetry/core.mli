@@ -55,6 +55,27 @@ val quantile : histogram -> float -> float
     clamped to [[h.min, h.max]]. NaN on an empty histogram. Resolution
     is one bucket (≈2.2x in value at 3 buckets/decade). *)
 
+(** The one histogram accumulator: the recorder's {!observe} and
+    {!merge_histogram}, {!Runtime}'s per-ring GC pause histograms and
+    the publish hub's job-wall histogram all fill one of these. *)
+module Hist : sig
+  type t
+
+  val create : unit -> t
+
+  val add : t -> float -> unit
+  (** Feed one sample. *)
+
+  val merge : t -> histogram -> unit
+  (** Fold a frozen histogram in, bucket by bucket (no-op when empty):
+      merging the freezes of two accumulators equals feeding both
+      sample streams to one. *)
+
+  val freeze : t -> histogram
+  (** Immutable copy. An empty accumulator freezes to
+      [count = 0], [sum = min = max = 0]. *)
+end
+
 type snapshot = {
   events : event array;  (** well-nested: open spans are closed at capture *)
   duration : float;  (** wall seconds from [enable] to capture *)

@@ -12,7 +12,7 @@ type hsample = {
   h_name : string;
   h_labels : (string * string) list;
   h_help : string option;
-  h_hist : Telemetry.histogram;
+  h_hist : Core.histogram;
 }
 
 type t = {
@@ -66,8 +66,8 @@ let of_telemetry ?registry snapshot =
   let r = match registry with Some r -> r | None -> create () in
   List.iter
     (fun (name, v) -> counter r name (float_of_int v))
-    snapshot.Telemetry.counters;
-  List.iter (fun (name, v) -> gauge r name v) snapshot.Telemetry.gauges;
+    snapshot.Core.counters;
+  List.iter (fun (name, v) -> gauge r name v) snapshot.Core.gauges;
   (* Real histogram families (bucket counts survive into Prometheus
      exposition). min/max have no place in the Prometheus histogram
      shape, so they ride along as sibling gauges under distinct family
@@ -76,14 +76,14 @@ let of_telemetry ?registry snapshot =
   List.iter
     (fun (name, h) ->
       histogram r name h;
-      gauge r (name ^ ".min") h.Telemetry.min;
-      gauge r (name ^ ".max") h.Telemetry.max)
-    snapshot.Telemetry.histograms;
+      gauge r (name ^ ".min") h.Core.min;
+      gauge r (name ^ ".max") h.Core.max)
+    snapshot.Core.histograms;
   (* Aggregate the span tree by span name: total wall/cpu and call
      counts, regardless of where in the hierarchy a span ran. *)
-  let summary = Telemetry.Summary.of_snapshot snapshot in
+  let summary = Summary.of_snapshot snapshot in
   let acc : (string, float * float * int) Hashtbl.t = Hashtbl.create 16 in
-  let rec walk (node : Telemetry.Summary.node) =
+  let rec walk (node : Summary.node) =
     let w, c, n =
       match Hashtbl.find_opt acc node.name with
       | Some x -> x
@@ -206,15 +206,15 @@ let to_prometheus registry =
           Buffer.add_string buf
             (Printf.sprintf "%s_bucket%s %d\n" family
                (render_labels
-                  (h.h_labels @ [ ("le", render_le (Telemetry.bucket_le i)) ]))
+                  (h.h_labels @ [ ("le", render_le (Core.bucket_le i)) ]))
                !cumulative))
-        h.h_hist.Telemetry.buckets;
+        h.h_hist.Core.buckets;
       Buffer.add_string buf
         (Printf.sprintf "%s_sum%s %s\n" family (render_labels h.h_labels)
-           (render_value h.h_hist.Telemetry.sum));
+           (render_value h.h_hist.Core.sum));
       Buffer.add_string buf
         (Printf.sprintf "%s_count%s %d\n" family (render_labels h.h_labels)
-           h.h_hist.Telemetry.count))
+           h.h_hist.Core.count))
     (sorted_hsamples registry);
   Buffer.contents buf
 
@@ -234,18 +234,17 @@ let csv_quote field =
   end
   else field
 
-(* Flatten a histogram into summary stats — the CSV and JSON formats
-   have no native bucket shape, and the quantiles are what a reader of
-   those formats actually wants. *)
-let hist_stats (h : Telemetry.histogram) =
+(* Flatten a histogram into summary stats — CSV has no native bucket
+   shape, and the quantiles are what a reader of it actually wants. *)
+let hist_stats (h : Core.histogram) =
   [
-    ("count", float_of_int h.Telemetry.count);
-    ("sum", h.Telemetry.sum);
-    ("min", h.Telemetry.min);
-    ("max", h.Telemetry.max);
-    ("p50", Telemetry.quantile h 0.50);
-    ("p90", Telemetry.quantile h 0.90);
-    ("p99", Telemetry.quantile h 0.99);
+    ("count", float_of_int h.Core.count);
+    ("sum", h.Core.sum);
+    ("min", h.Core.min);
+    ("max", h.Core.max);
+    ("p50", Core.quantile h 0.50);
+    ("p90", Core.quantile h 0.90);
+    ("p99", Core.quantile h 0.99);
   ]
 
 let to_csv registry =
@@ -456,35 +455,3 @@ let parse_csv text =
                 Some { name; labels; kind; value; help = None }
             | _ -> failwith ("bad CSV row: " ^ row))
         rows
-
-module Json = Telemetry.Json
-
-let to_json_fragment registry =
-  let scalar s =
-    Json.Obj
-      [
-        ("name", Json.Str (sanitize_name s.name));
-        ( "labels",
-          Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) s.labels)
-        );
-        ( "kind",
-          Json.Str
-            (match s.kind with Counter -> "counter" | Gauge -> "gauge") );
-        ("value", Json.Num s.value);
-      ]
-  in
-  let hist h =
-    Json.Obj
-      ([
-         ("name", Json.Str (sanitize_name h.h_name));
-         ( "labels",
-           Json.Obj
-             (List.map (fun (k, v) -> (k, Json.Str v)) h.h_labels) );
-         ("kind", Json.Str "histogram");
-       ]
-      @ List.map (fun (stat, v) -> (stat, Json.Num v)) (hist_stats h.h_hist))
-  in
-  Json.to_string
-    (Json.Arr
-       (List.map scalar (samples registry)
-       @ List.map hist (sorted_hsamples registry)))

@@ -1,13 +1,14 @@
-(** Typed metric registry with three exposition formats.
+(** The one typed metric registry, with two exposition formats.
 
-    The registry is the bridge between the solver-side instrumentation
-    ({!Telemetry} counters/gauges/histograms, plus diagnostics-computed
-    quantities such as condition estimates) and the outside world:
+    Every metric that leaves the process goes through a value of
+    {!t}: the recorder's snapshot ({!of_telemetry}), the health
+    assessment, the sweep hub's [/metrics] scrape and the solve
+    service's [serve.*] collector all write samples into one, and it
+    renders them as
 
-    - Prometheus text exposition (what [--metrics foo.prom] writes),
-    - CSV ([--metrics foo.csv]),
-    - a JSON fragment embedded as the ["diagnostics"] section of
-      {!Resilience.Report}.
+    - Prometheus text exposition (what [--metrics foo.prom] writes and
+      [/metrics] serves),
+    - CSV ([--metrics foo.csv]).
 
     Metric names are free-form dotted strings on the way in
     (["newton.iterations"]) and sanitized on the way out: a [rfss_]
@@ -43,21 +44,21 @@ val histogram :
   ?labels:(string * string) list ->
   t ->
   string ->
-  Telemetry.histogram ->
+  Core.histogram ->
   unit
 (** Register (or overwrite) a bucketed histogram family. In Prometheus
     exposition it renders as cumulative [_bucket{le="..."}] series on
-    the fixed {!Telemetry.bucket_le} layout plus [_sum] and [_count];
-    in CSV and JSON it flattens to count/sum/min/max/p50/p90/p99. *)
+    the fixed {!Core.bucket_le} layout plus [_sum] and [_count];
+    in CSV it flattens to count/sum/min/max/p50/p90/p99. *)
 
 val samples : t -> sample list
 (** Scalar samples only, sorted by (name, labels) for deterministic
     output. Histograms are listed by {!histograms}. *)
 
-val histograms : t -> (string * (string * string) list * Telemetry.histogram) list
+val histograms : t -> (string * (string * string) list * Core.histogram) list
 (** Registered histogram families, sorted. *)
 
-val of_telemetry : ?registry:t -> Telemetry.snapshot -> t
+val of_telemetry : ?registry:t -> Core.snapshot -> t
 (** Fold a telemetry snapshot into a registry ([registry] when given,
     a fresh one otherwise): counters map to counters; gauges to gauges;
     each histogram becomes a real {!histogram} family plus sibling
@@ -89,7 +90,3 @@ val parse_prometheus : string -> (string * (string * string) list * float) list
 val parse_csv : string -> sample list
 (** Inverse of {!to_csv} up to [help] (not serialized) and name
     sanitization (already applied). @raise Failure on malformed rows. *)
-
-val to_json_fragment : t -> string
-(** JSON array of [{"name":…,"labels":{…},"kind":…,"value":…}] objects,
-    for embedding in a {!Resilience.Report} section. *)

@@ -15,51 +15,9 @@ type ring = {
   mutable major_slices : int;
   mutable minor_ns : int64;  (** open EV_MINOR begin timestamp, or -1 *)
   mutable major_ns : int64;
-  minor_pause : acc;
-  major_pause : acc;
+  minor_pause : Core.Hist.t;
+  major_pause : Core.Hist.t;
 }
-
-and acc = {
-  mutable a_count : int;
-  mutable a_sum : float;
-  mutable a_min : float;
-  mutable a_max : float;
-  a_buckets : int array;
-}
-
-let acc_create () =
-  {
-    a_count = 0;
-    a_sum = 0.0;
-    a_min = infinity;
-    a_max = neg_infinity;
-    a_buckets = Array.make Core.bucket_count 0;
-  }
-
-let acc_add a v =
-  a.a_count <- a.a_count + 1;
-  a.a_sum <- a.a_sum +. v;
-  a.a_min <- Float.min a.a_min v;
-  a.a_max <- Float.max a.a_max v;
-  a.a_buckets.(Core.bucket_index v) <- a.a_buckets.(Core.bucket_index v) + 1
-
-let acc_freeze a : Core.histogram =
-  {
-    Core.count = a.a_count;
-    sum = a.a_sum;
-    min = (if a.a_count > 0 then a.a_min else 0.0);
-    max = (if a.a_count > 0 then a.a_max else 0.0);
-    buckets = Array.copy a.a_buckets;
-  }
-
-let acc_merge ~into:a (b : acc) =
-  if b.a_count > 0 then begin
-    a.a_count <- a.a_count + b.a_count;
-    a.a_sum <- a.a_sum +. b.a_sum;
-    a.a_min <- Float.min a.a_min b.a_min;
-    a.a_max <- Float.max a.a_max b.a_max;
-    Array.iteri (fun i n -> a.a_buckets.(i) <- a.a_buckets.(i) + n) b.a_buckets
-  end
 
 type t = {
   cursor : Runtime_events.cursor;
@@ -91,8 +49,8 @@ let ring_of t id =
           major_slices = 0;
           minor_ns = -1L;
           major_ns = -1L;
-          minor_pause = acc_create ();
-          major_pause = acc_create ();
+          minor_pause = Core.Hist.create ();
+          major_pause = Core.Hist.create ();
         }
       in
       Hashtbl.add t.rings id r;
@@ -133,13 +91,13 @@ let start () =
         match phase with
         | Runtime_events.EV_MINOR ->
             if r.minor_ns >= 0L then begin
-              acc_add r.minor_pause (seconds_between r.minor_ns ns);
+              Core.Hist.add r.minor_pause (seconds_between r.minor_ns ns);
               r.minor_collections <- r.minor_collections + 1;
               r.minor_ns <- -1L
             end
         | Runtime_events.EV_MAJOR ->
             if r.major_ns >= 0L then begin
-              acc_add r.major_pause (seconds_between r.major_ns ns);
+              Core.Hist.add r.major_pause (seconds_between r.major_ns ns);
               r.major_slices <- r.major_slices + 1;
               r.major_ns <- -1L
             end
@@ -170,18 +128,18 @@ let poll t =
     drain 64
 
 let stats t =
-  let minor = acc_create () and major = acc_create () in
+  let minor = Core.Hist.create () and major = Core.Hist.create () in
   let minors = ref 0 and majors = ref 0 in
   Hashtbl.iter
     (fun _ (r : ring) ->
-      acc_merge ~into:minor r.minor_pause;
-      acc_merge ~into:major r.major_pause;
+      Core.Hist.merge minor (Core.Hist.freeze r.minor_pause);
+      Core.Hist.merge major (Core.Hist.freeze r.major_pause);
       minors := !minors + r.minor_collections;
       majors := !majors + r.major_slices)
     t.rings;
   {
-    minor_pause = acc_freeze minor;
-    major_pause = acc_freeze major;
+    minor_pause = Core.Hist.freeze minor;
+    major_pause = Core.Hist.freeze major;
     minor_collections = !minors;
     major_slices = !majors;
     domains_seen = Hashtbl.length t.rings;
@@ -194,8 +152,8 @@ let per_ring t =
     (fun id (r : ring) acc ->
       ( id,
         {
-          minor_pause = acc_freeze r.minor_pause;
-          major_pause = acc_freeze r.major_pause;
+          minor_pause = Core.Hist.freeze r.minor_pause;
+          major_pause = Core.Hist.freeze r.major_pause;
           minor_collections = r.minor_collections;
           major_slices = r.major_slices;
           domains_seen = 1;

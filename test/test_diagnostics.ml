@@ -1,5 +1,4 @@
-(* Tests for the diagnostics subsystem: the bounded residual ring, the
-   convergence classifier on synthetic trajectories, condition estimates
+(* Tests for the diagnostics subsystem: the convergence classifier on synthetic trajectories, condition estimates
    against matrices with known κ, the metric registry's Prometheus/CSV
    round-trips, the minimal JSON parser, the perf-regression gate, and
    the end-to-end pieces — Newton residual histories on a real solve and
@@ -7,32 +6,6 @@
 
 module W = Circuit.Waveform
 module D = Diagnostics
-
-(* ---------- Ring ---------- *)
-
-let test_ring_basic () =
-  let r = D.Ring.create 4 in
-  Alcotest.(check int) "capacity" 4 (D.Ring.capacity r);
-  Alcotest.(check int) "empty length" 0 (D.Ring.length r);
-  Alcotest.(check bool) "empty last" true (D.Ring.last r = None);
-  List.iter (D.Ring.push r) [ 1.0; 2.0; 3.0 ];
-  Alcotest.(check int) "length" 3 (D.Ring.length r);
-  Alcotest.(check (array (float 0.0))) "chronological" [| 1.0; 2.0; 3.0 |]
-    (D.Ring.to_array r);
-  Alcotest.(check bool) "last" true (D.Ring.last r = Some 3.0)
-
-let test_ring_wraps () =
-  let r = D.Ring.create 3 in
-  List.iter (D.Ring.push r) [ 1.0; 2.0; 3.0; 4.0; 5.0 ];
-  Alcotest.(check int) "length capped" 3 (D.Ring.length r);
-  Alcotest.(check int) "total keeps counting" 5 (D.Ring.total r);
-  Alcotest.(check (array (float 0.0))) "oldest evicted" [| 3.0; 4.0; 5.0 |]
-    (D.Ring.to_array r)
-
-let test_ring_bad_capacity () =
-  Alcotest.check_raises "zero capacity"
-    (Invalid_argument "Diagnostics.Ring.create: capacity must be positive") (fun () ->
-      ignore (D.Ring.create 0))
 
 (* ---------- Convergence classifier ---------- *)
 
@@ -126,19 +99,19 @@ let test_condest_identity () =
 (* ---------- Registry round-trips ---------- *)
 
 let fill_registry () =
-  let reg = D.Registry.create () in
-  D.Registry.gauge reg ~help:"final residual" "newton.residual_norm" 3.25e-11;
-  D.Registry.counter reg "gmres.budget_stops" 2.0;
-  D.Registry.gauge reg
+  let reg = Telemetry.Registry.create () in
+  Telemetry.Registry.gauge reg ~help:"final residual" "newton.residual_norm" 3.25e-11;
+  Telemetry.Registry.counter reg "gmres.budget_stops" 2.0;
+  Telemetry.Registry.gauge reg
     ~labels:[ ("stage", "gmres-ilu0"); ("grid", "40x30") ]
     "health.stage_iterations" 7.0;
-  D.Registry.gauge reg ~labels:[ ("quote", "say \"hi\"\nok") ] "odd.label" 1.0;
+  Telemetry.Registry.gauge reg ~labels:[ ("quote", "say \"hi\"\nok") ] "odd.label" 1.0;
   reg
 
 let test_prometheus_round_trip () =
   let reg = fill_registry () in
-  let page = D.Registry.to_prometheus reg in
-  let parsed = D.Registry.parse_prometheus page in
+  let page = Telemetry.Registry.to_prometheus reg in
+  let parsed = Telemetry.Registry.parse_prometheus page in
   Alcotest.(check int) "sample count" 4 (List.length parsed);
   let find name =
     match List.find_opt (fun (n, _, _) -> n = name) parsed with
@@ -160,27 +133,27 @@ let test_prometheus_round_trip () =
 
 let test_csv_round_trip () =
   let reg = fill_registry () in
-  let parsed = D.Registry.parse_csv (D.Registry.to_csv reg) in
+  let parsed = Telemetry.Registry.parse_csv (Telemetry.Registry.to_csv reg) in
   Alcotest.(check int) "sample count" 4 (List.length parsed);
   let find name =
-    match List.find_opt (fun s -> s.D.Registry.name = name) parsed with
+    match List.find_opt (fun s -> s.Telemetry.Registry.name = name) parsed with
     | Some s -> s
     | None -> Alcotest.failf "missing csv row %s" name
   in
   let s = find "rfss_gmres_budget_stops" in
-  Alcotest.(check bool) "kind survives" true (s.D.Registry.kind = D.Registry.Counter);
-  Alcotest.(check (float 0.0)) "value survives" 2.0 s.D.Registry.value;
+  Alcotest.(check bool) "kind survives" true (s.Telemetry.Registry.kind = Telemetry.Registry.Counter);
+  Alcotest.(check (float 0.0)) "value survives" 2.0 s.Telemetry.Registry.value;
   let s = find "rfss_health_stage_iterations" in
   Alcotest.(check bool) "labels survive" true
-    (List.assoc_opt "stage" s.D.Registry.labels = Some "gmres-ilu0")
+    (List.assoc_opt "stage" s.Telemetry.Registry.labels = Some "gmres-ilu0")
 
 let test_sanitize_name () =
   Alcotest.(check string) "dots to underscores" "rfss_mpde_solve_wall"
-    (D.Registry.sanitize_name "mpde.solve.wall");
+    (Telemetry.Registry.sanitize_name "mpde.solve.wall");
   Alcotest.(check string) "counter suffix" "rfss_retries_total"
-    (D.Registry.sanitize_name ~kind:D.Registry.Counter "retries");
+    (Telemetry.Registry.sanitize_name ~kind:Telemetry.Registry.Counter "retries");
   Alcotest.(check string) "idempotent" "rfss_retries_total"
-    (D.Registry.sanitize_name ~kind:D.Registry.Counter "rfss_retries_total")
+    (Telemetry.Registry.sanitize_name ~kind:Telemetry.Registry.Counter "rfss_retries_total")
 
 let test_registry_of_telemetry () =
   Telemetry.enable ();
@@ -191,22 +164,22 @@ let test_registry_of_telemetry () =
       Telemetry.observe "res" 3.0);
   let snap = match Telemetry.snapshot () with Some s -> s | None -> assert false in
   Telemetry.disable ();
-  let reg = D.Registry.of_telemetry snap in
-  let samples = D.Registry.samples reg in
+  let reg = Telemetry.Registry.of_telemetry snap in
+  let samples = Telemetry.Registry.samples reg in
   let value ?(labels = []) name =
     match
       List.find_opt
-        (fun s -> s.D.Registry.name = name && s.D.Registry.labels = labels)
+        (fun s -> s.Telemetry.Registry.name = name && s.Telemetry.Registry.labels = labels)
         samples
     with
-    | Some s -> s.D.Registry.value
+    | Some s -> s.Telemetry.Registry.value
     | None -> Alcotest.failf "missing metric %s" name
   in
   Alcotest.(check (float 0.0)) "counter" 3.0 (value "widgets");
   Alcotest.(check (float 0.0)) "gauge" 0.5 (value "level");
   (* Histograms register as real bucketed families, with min/max riding
      along as sibling gauges (no place for them in the histogram shape). *)
-  (match D.Registry.histograms reg with
+  (match Telemetry.Registry.histograms reg with
   | [ ("res", [], h) ] ->
       Alcotest.(check int) "histogram count" 2 h.Telemetry.count;
       Alcotest.(check (float 0.0)) "histogram sum" 4.0 h.Telemetry.sum
@@ -575,12 +548,12 @@ let test_health_of_solution () =
         (List.mem_assoc "convergence" fields && List.mem_assoc "newton_iterations" fields)
   | _ -> Alcotest.fail "health json is not an object");
   let reg = D.Health.to_registry h in
-  let samples = D.Registry.samples reg in
+  let samples = Telemetry.Registry.samples reg in
   Alcotest.(check bool) "registry has the class marker" true
     (List.exists
        (fun s ->
-         s.D.Registry.name = "health.convergence"
-         && List.mem_assoc "class" s.D.Registry.labels)
+         s.Telemetry.Registry.name = "health.convergence"
+         && List.mem_assoc "class" s.Telemetry.Registry.labels)
        samples)
 
 (* ---------- Registry snapshot publishing (Observe.Publish) ---------- *)
@@ -644,11 +617,146 @@ let test_publish_snapshot_consistency () =
   Alcotest.(check int) "worker array grew to every writer" writers
     (Array.length s.P.workers)
 
+(* The page a service scrape of the hub state below renders: the sweep
+   families, the job-wall histogram series and an idle 1-worker
+   service's serve.* families. Pinned byte for byte, so a change to
+   names, help text, ordering or number formatting on the wire shows
+   up here. *)
+let golden_scrape = {|# HELP rfss_serve_cache_entries Result-cache current size
+# TYPE rfss_serve_cache_entries gauge
+rfss_serve_cache_entries 0
+# HELP rfss_serve_cache_evictions_total Result-cache LRU evictions
+# TYPE rfss_serve_cache_evictions_total counter
+rfss_serve_cache_evictions_total 0
+# HELP rfss_serve_cache_hits_total Result-cache hits
+# TYPE rfss_serve_cache_hits_total counter
+rfss_serve_cache_hits_total 0
+# HELP rfss_serve_cache_misses_total Result-cache misses
+# TYPE rfss_serve_cache_misses_total counter
+rfss_serve_cache_misses_total 0
+# HELP rfss_serve_jobs_completed_total Jobs answered (cache hits included)
+# TYPE rfss_serve_jobs_completed_total counter
+rfss_serve_jobs_completed_total 0
+# HELP rfss_serve_jobs_failed_total Jobs whose solve raised instead of returning a result
+# TYPE rfss_serve_jobs_failed_total counter
+rfss_serve_jobs_failed_total 0
+# HELP rfss_serve_jobs_submitted_total Jobs accepted by rfssd
+# TYPE rfss_serve_jobs_submitted_total counter
+rfss_serve_jobs_submitted_total 0
+# HELP rfss_serve_queue_depth Jobs accepted but not yet solving
+# TYPE rfss_serve_queue_depth gauge
+rfss_serve_queue_depth 0
+# HELP rfss_serve_warm_entries Warm-start surfaces retained
+# TYPE rfss_serve_warm_entries gauge
+rfss_serve_warm_entries 0
+# HELP rfss_serve_warm_starts_total Solves seeded from a cached nearby surface
+# TYPE rfss_serve_warm_starts_total counter
+rfss_serve_warm_starts_total 0
+# HELP rfss_serve_workers Solver worker domains
+# TYPE rfss_serve_workers gauge
+rfss_serve_workers 1
+# HELP rfss_sweep_checkpoints_total Checkpoint records written
+# TYPE rfss_sweep_checkpoints_total counter
+rfss_sweep_checkpoints_total 0
+# HELP rfss_sweep_degraded_jobs_total Jobs rerun with degraded settings after a watchdog trip
+# TYPE rfss_sweep_degraded_jobs_total counter
+rfss_sweep_degraded_jobs_total 0
+# HELP rfss_sweep_domains Worker domains
+# TYPE rfss_sweep_domains gauge
+rfss_sweep_domains 2
+# HELP rfss_sweep_elapsed_seconds Wall seconds since run start
+# TYPE rfss_sweep_elapsed_seconds gauge
+rfss_sweep_elapsed_seconds 0
+# HELP rfss_sweep_jobs_failed_total Jobs that ended in error
+# TYPE rfss_sweep_jobs_failed_total counter
+rfss_sweep_jobs_failed_total 0
+# HELP rfss_sweep_jobs_finished_total Jobs completed, whatever the status
+# TYPE rfss_sweep_jobs_finished_total counter
+rfss_sweep_jobs_finished_total 3
+# HELP rfss_sweep_jobs_in_flight Jobs started but not yet finished
+# TYPE rfss_sweep_jobs_in_flight gauge
+rfss_sweep_jobs_in_flight 0
+# HELP rfss_sweep_jobs_started_total Jobs handed to a worker
+# TYPE rfss_sweep_jobs_started_total counter
+rfss_sweep_jobs_started_total 3
+# HELP rfss_sweep_jobs_total Jobs in the sweep
+# TYPE rfss_sweep_jobs_total gauge
+rfss_sweep_jobs_total 3
+# HELP rfss_sweep_phase Run phase (one series set to 1)
+# TYPE rfss_sweep_phase gauge
+rfss_sweep_phase{phase="done"} 1
+# HELP rfss_sweep_retries_total Retry attempts across all jobs
+# TYPE rfss_sweep_retries_total counter
+rfss_sweep_retries_total 0
+# HELP rfss_sweep_worker_busy 1 while the worker has a job in flight
+# TYPE rfss_sweep_worker_busy gauge
+rfss_sweep_worker_busy{worker="0"} 0
+rfss_sweep_worker_busy{worker="1"} 0
+# HELP rfss_sweep_worker_busy_seconds Summed wall seconds of the worker's finished jobs
+# TYPE rfss_sweep_worker_busy_seconds gauge
+rfss_sweep_worker_busy_seconds{worker="0"} 0.5
+rfss_sweep_worker_busy_seconds{worker="1"} 0.25
+# HELP rfss_sweep_worker_jobs_total Jobs finished by the worker
+# TYPE rfss_sweep_worker_jobs_total counter
+rfss_sweep_worker_jobs_total{worker="0"} 2
+rfss_sweep_worker_jobs_total{worker="1"} 1
+# HELP rfss_sweep_worker_retries_total Retry attempts on the worker
+# TYPE rfss_sweep_worker_retries_total counter
+rfss_sweep_worker_retries_total{worker="0"} 0
+rfss_sweep_worker_retries_total{worker="1"} 0
+# HELP rfss_sweep_worst_health_rank Worst convergence class seen (0=quadratic .. 6=failed)
+# TYPE rfss_sweep_worst_health_rank gauge
+rfss_sweep_worst_health_rank 1
+# HELP rfss_sweep_job_wall_seconds Wall seconds per finished job
+# TYPE rfss_sweep_job_wall_seconds histogram
+rfss_sweep_job_wall_seconds_bucket{le="1.0000000000000001e-09"} 0
+rfss_sweep_job_wall_seconds_bucket{le="2.1544346900318841e-09"} 0
+rfss_sweep_job_wall_seconds_bucket{le="4.6415888336127786e-09"} 0
+rfss_sweep_job_wall_seconds_bucket{le="1e-08"} 0
+rfss_sweep_job_wall_seconds_bucket{le="2.1544346900318832e-08"} 0
+rfss_sweep_job_wall_seconds_bucket{le="4.6415888336127801e-08"} 0
+rfss_sweep_job_wall_seconds_bucket{le="1.0000000000000001e-07"} 0
+rfss_sweep_job_wall_seconds_bucket{le="2.1544346900318846e-07"} 0
+rfss_sweep_job_wall_seconds_bucket{le="4.6415888336127778e-07"} 0
+rfss_sweep_job_wall_seconds_bucket{le="1.0000000000000002e-06"} 0
+rfss_sweep_job_wall_seconds_bucket{le="2.1544346900318848e-06"} 0
+rfss_sweep_job_wall_seconds_bucket{le="4.6415888336127777e-06"} 0
+rfss_sweep_job_wall_seconds_bucket{le="1.0000000000000001e-05"} 0
+rfss_sweep_job_wall_seconds_bucket{le="2.1544346900318823e-05"} 0
+rfss_sweep_job_wall_seconds_bucket{le="4.6415888336127825e-05"} 0
+rfss_sweep_job_wall_seconds_bucket{le="0.0001"} 0
+rfss_sweep_job_wall_seconds_bucket{le="0.00021544346900318823"} 0
+rfss_sweep_job_wall_seconds_bucket{le="0.00046415888336127827"} 0
+rfss_sweep_job_wall_seconds_bucket{le="0.001"} 0
+rfss_sweep_job_wall_seconds_bucket{le="0.0021544346900318825"} 0
+rfss_sweep_job_wall_seconds_bucket{le="0.0046415888336127824"} 0
+rfss_sweep_job_wall_seconds_bucket{le="0.01"} 0
+rfss_sweep_job_wall_seconds_bucket{le="0.021544346900318825"} 0
+rfss_sweep_job_wall_seconds_bucket{le="0.046415888336127822"} 0
+rfss_sweep_job_wall_seconds_bucket{le="0.10000000000000001"} 0
+rfss_sweep_job_wall_seconds_bucket{le="0.21544346900318867"} 0
+rfss_sweep_job_wall_seconds_bucket{le="0.46415888336127731"} 3
+rfss_sweep_job_wall_seconds_bucket{le="1"} 3
+rfss_sweep_job_wall_seconds_bucket{le="2.1544346900318869"} 3
+rfss_sweep_job_wall_seconds_bucket{le="4.6415888336127731"} 3
+rfss_sweep_job_wall_seconds_bucket{le="10"} 3
+rfss_sweep_job_wall_seconds_bucket{le="21.544346900318867"} 3
+rfss_sweep_job_wall_seconds_bucket{le="46.415888336127729"} 3
+rfss_sweep_job_wall_seconds_bucket{le="100"} 3
+rfss_sweep_job_wall_seconds_bucket{le="215.44346900318868"} 3
+rfss_sweep_job_wall_seconds_bucket{le="464.15888336127733"} 3
+rfss_sweep_job_wall_seconds_bucket{le="1000.0000000000001"} 3
+rfss_sweep_job_wall_seconds_bucket{le="+Inf"} 3
+rfss_sweep_job_wall_seconds_sum 0.75
+rfss_sweep_job_wall_seconds_count 3
+|}
+
 (* Under a frozen fake clock the /metrics rendering is a pure function
-   of the published stats: two scrapes are byte-identical, and the text
-   re-parses with the strict Prometheus parser to the published
-   numbers. *)
+   of the published stats: two scrapes are byte-identical, match the
+   pinned page, and re-parse with the strict Prometheus parser to the
+   published numbers. *)
 let test_publish_prometheus_roundtrip () =
+  let jobs = Serve.Jobs.create ~workers:1 () in
   let src, _advance = Telemetry.Clock.manual () in
   Telemetry.Clock.install src;
   P.reset ();
@@ -656,7 +764,8 @@ let test_publish_prometheus_roundtrip () =
   Fun.protect ~finally:(fun () ->
       P.disarm ();
       P.reset ();
-      Telemetry.Clock.uninstall ())
+      Telemetry.Clock.uninstall ();
+      Serve.Jobs.stop jobs)
   @@ fun () ->
   P.run_started ~domains:2 ~phase:"test" ~total:3 ();
   for i = 0 to 2 do
@@ -666,11 +775,16 @@ let test_publish_prometheus_roundtrip () =
       ~health:(Some "linear") ~wall_seconds:0.25 ~attempts:1
   done;
   P.run_finished ();
-  let text1 = D.Registry.to_prometheus (P.registry_snapshot ()) in
-  let text2 = D.Registry.to_prometheus (P.registry_snapshot ()) in
+  let text1 = Telemetry.Registry.to_prometheus (P.registry_snapshot ()) in
+  let text2 = Telemetry.Registry.to_prometheus (P.registry_snapshot ()) in
   Alcotest.(check string) "scrape is deterministic under a frozen clock"
     text1 text2;
-  let samples = D.Registry.parse_prometheus text1 in
+  let r = P.registry_snapshot () in
+  Serve.Jobs.collect_metrics jobs r;
+  Alcotest.(check string) "service scrape matches the pinned page"
+    golden_scrape
+    (Telemetry.Registry.to_prometheus r);
+  let samples = Telemetry.Registry.parse_prometheus text1 in
   let value name =
     match List.find_opt (fun (n, _, _) -> n = name) samples with
     | Some (_, _, v) -> v
@@ -704,12 +818,6 @@ let test_publish_prometheus_roundtrip () =
 let () =
   Alcotest.run "diagnostics"
     [
-      ( "ring",
-        [
-          Alcotest.test_case "basic" `Quick test_ring_basic;
-          Alcotest.test_case "wraps" `Quick test_ring_wraps;
-          Alcotest.test_case "bad capacity" `Quick test_ring_bad_capacity;
-        ] );
       ( "convergence",
         [
           Alcotest.test_case "quadratic" `Quick test_classify_quadratic;

@@ -110,6 +110,14 @@ let test_quantiles () =
   Alcotest.(check bool) "empty quantile is nan" true
     (Float.is_nan (Telemetry.quantile empty 0.5))
 
+let check_same_hist what (want : Telemetry.histogram) (got : Telemetry.histogram) =
+  Alcotest.(check int) (what ^ " count") want.Telemetry.count got.Telemetry.count;
+  Alcotest.(check (float 0.0)) (what ^ " sum") want.Telemetry.sum got.Telemetry.sum;
+  Alcotest.(check (float 0.0)) (what ^ " min") want.Telemetry.min got.Telemetry.min;
+  Alcotest.(check (float 0.0)) (what ^ " max") want.Telemetry.max got.Telemetry.max;
+  Alcotest.(check (array int)) (what ^ " buckets") want.Telemetry.buckets
+    got.Telemetry.buckets
+
 let test_merge_histogram () =
   let a = [ 1.0; 2.0; 3.0 ] and b = [ 0.5; 4.0; 8.0; 16.0 ] in
   let ha = hist_of a and hab = hist_of (a @ b) in
@@ -123,22 +131,17 @@ let test_merge_histogram () =
     | [ ("h", h) ] -> h
     | _ -> Alcotest.fail "expected one merged histogram"
   in
-  Alcotest.(check int) "count" hab.Telemetry.count merged.Telemetry.count;
-  Alcotest.(check (float 0.0)) "sum" hab.Telemetry.sum merged.Telemetry.sum;
-  Alcotest.(check (float 0.0)) "min" hab.Telemetry.min merged.Telemetry.min;
-  Alcotest.(check (float 0.0)) "max" hab.Telemetry.max merged.Telemetry.max;
-  Alcotest.(check (array int)) "buckets" hab.Telemetry.buckets
-    merged.Telemetry.buckets
+  check_same_hist "merged" hab merged
 
 (* ---------- Prometheus histogram exposition ---------- *)
 
 let test_prometheus_histograms () =
-  let reg = D.Registry.create () in
-  D.Registry.gauge reg "plain.gauge" 2.0;
-  D.Registry.counter reg "plain.counter" 5.0;
-  D.Registry.histogram reg ~help:"solve residuals"
+  let reg = Telemetry.Registry.create () in
+  Telemetry.Registry.gauge reg "plain.gauge" 2.0;
+  Telemetry.Registry.counter reg "plain.counter" 5.0;
+  Telemetry.Registry.histogram reg ~help:"solve residuals"
     "newton.residual" (hist_of [ 1e-9; 1e-6; 1e-6; 0.5 ]);
-  let page = D.Registry.to_prometheus reg in
+  let page = Telemetry.Registry.to_prometheus reg in
   (* Every family carries # HELP and # TYPE — including the generated
      fallback for families registered without help text. *)
   let lines = String.split_on_char '\n' page in
@@ -160,7 +163,7 @@ let test_prometheus_histograms () =
     (has "# TYPE rfss_newton_residual histogram");
   (* The parser round-trips the page; cumulative buckets end at +Inf
      with the total count. *)
-  let parsed = D.Registry.parse_prometheus page in
+  let parsed = Telemetry.Registry.parse_prometheus page in
   let buckets =
     List.filter (fun (n, _, _) -> n = "rfss_newton_residual_bucket") parsed
   in
@@ -202,8 +205,8 @@ let test_of_telemetry_histogram_exposition () =
     Telemetry.observe "gc.pause" 2e-3;
     capture ()
   in
-  let page = D.Registry.to_prometheus (D.Registry.of_telemetry snap) in
-  let parsed = D.Registry.parse_prometheus page in
+  let page = Telemetry.Registry.to_prometheus (Telemetry.Registry.of_telemetry snap) in
+  let parsed = Telemetry.Registry.parse_prometheus page in
   let names = List.map (fun (n, _, _) -> n) parsed in
   List.iter
     (fun n ->
@@ -448,6 +451,25 @@ let test_sweep_trace_span_conservation () =
 (* ---------- Runtime_events consumer ---------- *)
 
 let test_runtime_events_smoke () =
+  (* The accumulator behind the per-ring pause histograms: two rings
+     merged equal one pass over both sample streams (dyadic samples, so
+     the sums are exact in either order), and an idle ring freezes to
+     zeros and merges as a no-op. *)
+  let module H = Telemetry.Hist in
+  let ring1 = [ 0.25; 2.0 ** -20.0; 0.5 ] and ring2 = [ 2.0 ** -10.0; 0.125; 4.0 ] in
+  let fill xs =
+    let a = H.create () in
+    List.iter (H.add a) xs;
+    a
+  in
+  let empty = H.freeze (H.create ()) in
+  Alcotest.(check int) "empty count" 0 empty.Telemetry.count;
+  Alcotest.(check (float 0.0)) "empty min" 0.0 empty.Telemetry.min;
+  Alcotest.(check (float 0.0)) "empty max" 0.0 empty.Telemetry.max;
+  Alcotest.(check (float 0.0)) "empty sum" 0.0 empty.Telemetry.sum;
+  let merged = H.create () in
+  List.iter (H.merge merged) [ H.freeze (fill ring1); empty; H.freeze (fill ring2) ];
+  check_same_hist "merged rings" (H.freeze (fill (ring1 @ ring2))) (H.freeze merged);
   match Telemetry.Runtime.start () with
   | None ->
       (* The runtime refused a ring — degrade exactly like production. *)
@@ -473,6 +495,17 @@ let test_runtime_events_smoke () =
         (s.Telemetry.Runtime.minor_pause.Telemetry.count = 0
         || Float.is_finite s.Telemetry.Runtime.minor_pause.Telemetry.sum
            && s.Telemetry.Runtime.minor_pause.Telemetry.sum >= 0.0);
+      (* The aggregate is the merge of the per-ring histograms. *)
+      let rings = H.create () in
+      List.iter
+        (fun (_, (r : Telemetry.Runtime.stats)) ->
+          H.merge rings r.Telemetry.Runtime.minor_pause)
+        (Telemetry.Runtime.per_ring t);
+      let rings = H.freeze rings in
+      Alcotest.(check int) "ring counts add up" rings.Telemetry.count
+        s.Telemetry.Runtime.minor_pause.Telemetry.count;
+      Alcotest.(check (array int)) "ring buckets add up" rings.Telemetry.buckets
+        s.Telemetry.Runtime.minor_pause.Telemetry.buckets;
       (* Folding into the recorder surfaces the histograms + gauges. *)
       Telemetry.enable ();
       let snap =

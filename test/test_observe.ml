@@ -368,7 +368,7 @@ let test_e2e_unix_socket_sweep () =
       | Some (Ok (status, _, body)) ->
           Alcotest.(check int) "metrics status" 200 status;
           let samples =
-            try Diagnostics.Registry.parse_prometheus body
+            try Telemetry.Registry.parse_prometheus body
             with Failure m -> Alcotest.failf "metrics did not re-parse: %s" m
           in
           (match

@@ -416,6 +416,81 @@ let test_routes () =
       | Error e -> Alcotest.fail e)
   | _ -> Alcotest.fail "DELETE /jobs should be 405"
 
+(* ---------- /metrics reads the executor at scrape time ---------- *)
+
+(* A worker takes a job off the queue without any other state change,
+   so a scrape during the solve must already report the queue empty,
+   in agreement with GET /jobs. *)
+let test_scrape_queue_depth_during_solve () =
+  Observe.Publish.reset ();
+  let sock =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "rfss_serve_scrape_%d.sock" (Unix.getpid ()))
+  in
+  let svc =
+    match Serve.Service.start ~workers:1 (Observe.Addr.Unix_socket sock) with
+    | Ok svc -> svc
+    | Error e -> Alcotest.fail e
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Serve.Service.stop svc;
+      Observe.Publish.reset ())
+  @@ fun () ->
+  let jobs = Serve.Service.jobs svc in
+  let fixture = fixture_exn "balanced-mixer" in
+  let job =
+    {
+      Serve.Protocol.fixture;
+      engine = Engine.Mpde;
+      f_fast = fixture.Serve.Catalog.default_fast;
+      fd = fixture.Serve.Catalog.default_fd;
+      options = { default with Engine.Options.n1 = 40; n2 = 30 };
+      wall_seconds = None;
+      max_newton_budget = None;
+      warm = false;
+    }
+  in
+  let h = Serve.Jobs.submit jobs job in
+  let deadline = Unix.gettimeofday () +. 60.0 in
+  let rec wait_started () =
+    let slice = Observe.Publish.events_since 0 in
+    if
+      not
+        (List.exists
+           (fun e -> e.Observe.Publish.kind = "job_started")
+           slice.Observe.Publish.events)
+    then begin
+      if Unix.gettimeofday () > deadline then
+        Alcotest.fail "the worker never started the job";
+      Unix.sleepf 0.001;
+      wait_started ()
+    end
+  in
+  wait_started ();
+  let page =
+    match Observe.Client.get (Serve.Service.addr svc) "/metrics" with
+    | Ok (200, _, body) -> body
+    | Ok (status, _, body) -> Alcotest.failf "/metrics answered %d: %s" status body
+    | Error e -> Alcotest.fail e
+  in
+  let status_depth = member_int (Serve.Jobs.status_json jobs) "queue_depth" in
+  let scraped_depth =
+    match
+      List.find_opt
+        (fun (n, _, _) -> n = "rfss_serve_queue_depth")
+        (Telemetry.Registry.parse_prometheus page)
+    with
+    | Some (_, _, v) -> int_of_float v
+    | None -> Alcotest.failf "no rfss_serve_queue_depth in:\n%s" page
+  in
+  Alcotest.(check int) "GET /jobs queue depth during the solve" 0 status_depth;
+  Alcotest.(check int) "scraped queue depth matches GET /jobs" status_depth
+    scraped_depth;
+  let result = line_with_event (drain h) "result" in
+  Alcotest.(check bool) "solve converged" true (member_bool result "converged")
+
 (* ---------- run ---------- *)
 
 let () =
@@ -443,5 +518,7 @@ let () =
           Alcotest.test_case "warm start beats cold Newton count" `Quick
             test_warm_start_fewer_newton;
           Alcotest.test_case "routes speak the protocol" `Quick test_routes;
+          Alcotest.test_case "scrape during a solve has queue depth 0" `Quick
+            test_scrape_queue_depth_during_solve;
         ] );
     ]
