@@ -47,6 +47,11 @@ let needs_branch_current = function
   | Multiplier _ ->
       false
 
+let is_linear = function
+  | Resistor _ | Capacitor _ | Inductor _ | Voltage_source _ | Current_source _ | Vccs _ ->
+      true
+  | Diode _ | Mosfet _ | Bjt _ | Multiplier _ -> false
+
 let nodes = function
   | Resistor { n_plus; n_minus; _ }
   | Capacitor { n_plus; n_minus; _ }

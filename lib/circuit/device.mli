@@ -38,4 +38,8 @@ val needs_branch_current : t -> bool
 (** True for devices that add an MNA branch-current unknown
     (voltage sources and inductors). *)
 
+val is_linear : t -> bool
+(** True for elements whose stamps do not depend on the circuit state
+    (everything but diodes, MOSFETs, BJTs and multipliers). *)
+
 val nodes : t -> node list

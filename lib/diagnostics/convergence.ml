@@ -43,23 +43,22 @@ let rate_estimate history =
         Some (exp (log_sum /. float_of_int (List.length l)))
   end
 
-(* Observed order over strictly decreasing triples; flat samples (e.g.
-   a residual parked at the round-off floor) contribute nothing. *)
+(* Observed order of the last strictly decreasing triple. Newton's
+   order shows in its final steps; the early steps of an inexact Newton
+   solve are superlinear by design (loose forcing terms), so a median
+   over the whole history would read a healthy solve as linear. Flat
+   samples (e.g. a residual parked at the round-off floor) are skipped. *)
 let observed_order history =
   let r = clean history in
-  let n = Array.length r in
-  if n < 3 then None
-  else begin
-    let orders = ref [] in
-    for i = 1 to n - 2 do
-      if r.(i) < r.(i - 1) && r.(i + 1) < r.(i) then begin
-        let denom = log (r.(i) /. r.(i - 1)) in
-        if denom < -1e-9 then
-          orders := (log (r.(i + 1) /. r.(i)) /. denom) :: !orders
-      end
-    done;
-    match !orders with [] -> None | l -> Some (median (Array.of_list l))
-  end
+  let rec last i =
+    if i < 1 then None
+    else if r.(i) < r.(i - 1) && r.(i + 1) < r.(i) then begin
+      let denom = log (r.(i) /. r.(i - 1)) in
+      if denom < -1e-9 then Some (log (r.(i + 1) /. r.(i)) /. denom) else last (i - 1)
+    end
+    else last (i - 1)
+  in
+  last (Array.length r - 2)
 
 let classify ?strategy history =
   match strategy with

@@ -13,9 +13,10 @@
       exceeds 10x the initial one;
     - stagnation: median step ratio [>= 0.97] (less than 3% reduction
       per iteration);
-    - quadratic: median observed convergence order
-      [q_i = log(r_{i+1}/r_i) / log(r_i/r_{i-1})] over the decreasing
-      tail is [>= 1.6];
+    - quadratic: the observed convergence order
+      [q_i = log(r_{i+1}/r_i) / log(r_i/r_{i-1})] of the last strictly
+      decreasing triple is [>= 1.6] (the final steps carry Newton's
+      order; an inexact Newton solve's early steps are loose by design);
     - otherwise linear, with rate = geometric mean of the decreasing
       step ratios. *)
 
@@ -40,8 +41,8 @@ val rate_estimate : float array -> float option
     exists. *)
 
 val observed_order : float array -> float option
-(** Median observed convergence order over the strictly decreasing
-    tail; [None] with fewer than 3 strictly decreasing samples. *)
+(** Observed convergence order of the last strictly decreasing triple
+    of samples; [None] when there is no such triple. *)
 
 val to_string : cls -> string
 (** Compact rendering, e.g. ["quadratic"], ["linear(rate=0.31)"]. *)

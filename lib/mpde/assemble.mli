@@ -16,6 +16,11 @@ type system = {
   fast : Numeric.Dae.fast option;
       (** allocation-free evaluation callbacks, when the producer has
           them ({!of_mna} does); used by {!workspace} *)
+  linear : bool;
+      (** the equations are linear in the state, so the Jacobian is
+          constant: {!of_mna} sets it when the netlist holds no diode,
+          MOSFET, BJT or multiplier; {!of_dae} cannot tell and says
+          [false] *)
 }
 
 val of_mna : shear:Shear.t -> Circuit.Mna.t -> system

@@ -10,10 +10,35 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 type linear_solver =
   | Direct
-  | Gmres_sweep of { restart : int; max_iter : int; tol : float }
+  | Gmres_sweep of { restart : int; max_iter : int }
   | Gmres_ilu0 of { restart : int; max_iter : int; tol : float }
 
-let default_gmres = Gmres_sweep { restart = 60; max_iter = 600; tol = 1e-9 }
+let default_gmres = Gmres_sweep { restart = 60; max_iter = 600 }
+
+(* Inexact Newton (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996),
+   choice 2 in the Newton norm; the rules are in the interface. The
+   safeguard reads the previous step's value before the clamp: after
+   it η is at most 0.1, and 0.9·0.1² never exceeds 0.1. A linear
+   system's first step runs at the floor because its Jacobian is
+   constant, so one exact step converges; a predicted-last step runs at
+   the floor so the converged answer keeps an exact solve's accuracy. *)
+let forcing_min = 1e-9
+
+let forcing_max = 0.1
+
+type forcing = { fnorm : float; ew : float }
+
+let forcing_term ~tol ~linear ~prev fnorm =
+  let ew =
+    match prev with
+    | None -> if linear then forcing_min else forcing_max
+    | Some p ->
+        let ew = 0.9 *. Float.pow (fnorm /. p.fnorm) 2.0 in
+        let guard = 0.9 *. p.ew *. p.ew in
+        if guard > 0.1 then Float.max ew guard else ew
+  in
+  let eta = Float.min forcing_max (Float.max forcing_min ew) in
+  ((if eta *. fnorm <= tol then forcing_min else eta), { fnorm; ew })
 
 exception Linear_stall of string
 
@@ -570,7 +595,7 @@ let with_extra_diag jac extra_diag =
   else Sparse.Csr.add jac (Sparse.Csr.scale extra_diag (Sparse.Csr.identity jac.Sparse.Csr.rows))
 
 let solve_linear ~ws ~linear_solver ~scheme ~budget (g : Grid.t) ~jacs ~extra_diag
-    ~rhs ~linear_iters =
+    ~sweep_tol ~rhs ~linear_iters =
   (* Numeric-refresh path: with [extra_diag = 0] this returns the same
      CSR instance every Newton iteration, which keeps the ILU0/sparse-LU
      pattern caches below valid. *)
@@ -626,8 +651,9 @@ let solve_linear ~ws ~linear_solver ~scheme ~budget (g : Grid.t) ~jacs ~extra_di
             f
       in
       Sparse.Splu.solve f rhs)
-  | Gmres_sweep { restart; max_iter; tol } -> (
+  | Gmres_sweep { restart; max_iter } -> (
       Telemetry.span "mpde.linear.gmres-sweep" @@ fun () ->
+      let tol = sweep_tol rhs in
       let cache = ws.sweep in
       (* For the backward scheme the operator is applied matrix-free
          from the per-point blocks, so the big Jacobian is never
@@ -747,6 +773,17 @@ let newton_problem ~options ~linear_solver ~ws ?ptc ~sys ~g ~sources ~linear_ite
     r
   in
   let extra_diag = match ptc with Some { alpha; _ } -> alpha | None -> 0.0 in
+  (* This stage's inexact-Newton state, read only by [Gmres_sweep]. *)
+  let forcing = ref None in
+  let sweep_tol r =
+    let eta, state =
+      forcing_term ~tol:options.tol ~linear:sys.Assemble.linear ~prev:!forcing
+        (Vec.norm_inf r)
+    in
+    forcing := Some state;
+    Telemetry.observe "mpde.newton_forcing" eta;
+    eta
+  in
   {
     Numeric.Newton.residual =
       Guard.guarded ~context:"MPDE residual" ~block_size:n
@@ -781,7 +818,7 @@ let newton_problem ~options ~linear_solver ~ws ?ptc ~sys ~g ~sources ~linear_ite
            on_residual_violation v;
            raise e);
         solve_linear ~ws ~linear_solver ~scheme:options.scheme ~budget:options.budget g
-          ~jacs ~extra_diag ~rhs:r ~linear_iters);
+          ~jacs ~extra_diag ~sweep_tol ~rhs:r ~linear_iters);
   }
 
 let is_direct = function Direct -> true | _ -> false
@@ -893,6 +930,10 @@ let solve ?(options = default_options) ?seed ?workspace_slot
         ~source_scale ~on_residual_violation ()
     in
     let x, stats = Numeric.Newton.solve ~options:newton_options ~on_iteration problem x_init in
+    (* [on_iteration] fires before each step, so a stage that converged
+       after stepping has not yet recorded its final residual. *)
+    if Numeric.Newton.converged stats && stats.Numeric.Newton.iterations > 0 then
+      trajectory := stats.Numeric.Newton.residual_norm :: !trajectory;
     newton_total := !newton_total + stats.Numeric.Newton.iterations;
     record_stage name stats.Numeric.Newton.iterations;
     last_x := x;

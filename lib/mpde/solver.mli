@@ -17,7 +17,15 @@
       stall with lagged or clustered inverses the solver rebuilds them
       exact, one per point, and retries once before escalating. This
       policy is fixed; it affects only GMRES iteration counts, never
-      the converged answer;
+      the converged answer.
+      Each Newton correction is solved inexactly: its relative GMRES
+      tolerance is the Eisenstat–Walker forcing term {!forcing_term},
+      derived from the Newton residual of the current and previous step
+      and clamped to [[1e-9, 0.1]]. The first step of a linear system
+      and every step predicted to be the last ([η·‖F‖∞ <= tol]) run at
+      the 1e-9 floor, so the converged answer is that of an exact
+      solve; each Newton stage keeps its own forcing state, and the
+      chosen η is observed as the [mpde.newton_forcing] histogram;
     - [Gmres_ilu0]: GMRES preconditioned by a zero-fill ILU of the
       global Jacobian — slower to set up than the sweep but stronger
       when the sweep's dropped couplings matter; the first escalation
@@ -41,10 +49,29 @@
 
 type linear_solver =
   | Direct
-  | Gmres_sweep of { restart : int; max_iter : int; tol : float }
+  | Gmres_sweep of { restart : int; max_iter : int }
   | Gmres_ilu0 of { restart : int; max_iter : int; tol : float }
 
 val default_gmres : linear_solver
+
+type forcing = {
+  fnorm : float;  (** the step's Newton residual ‖F_k‖∞ *)
+  ew : float;  (** its Eisenstat–Walker value before the clamp *)
+}
+(** What one inexact Newton step hands the next. *)
+
+val forcing_term :
+  tol:float -> linear:bool -> prev:forcing option -> float -> float * forcing
+(** [forcing_term ~tol ~linear ~prev fnorm] is the relative GMRES
+    tolerance η_k of the Newton step at residual [fnorm] = ‖F_k‖∞,
+    with the state to pass as [prev] to the next step:
+    - first step ([prev = None]): 1e-9 when [linear], else 0.1;
+    - later steps: Eisenstat–Walker choice 2,
+      η_k = 0.9·(‖F_k‖/‖F_{k−1}‖)², raised to 0.9·η_{k−1}² when that
+      exceeds 0.1 (η_{k−1} read before the clamp);
+    - clamped to [[1e-9, 0.1]];
+    - terminal tightening: when η_k·[fnorm] <= [tol] the step is
+      predicted to be the last and η_k is the 1e-9 floor. *)
 
 exception Linear_stall of string
 (** Raised internally by the linear layer on a GMRES stall; captured by

@@ -21,6 +21,14 @@ let test_classify_quadratic () =
   | Some q -> Alcotest.(check bool) "order near 2" true (q > 1.8 && q < 2.2)
   | None -> Alcotest.fail "no observed order"
 
+let test_classify_inexact_newton () =
+  (* Inexact Newton: loose early forcing terms make the first steps
+     superlinear, so the order is read off the last decreasing triple
+     (the 40x30 mixer's trajectory). *)
+  match D.Convergence.classify [| 0.45; 5.6e-3; 3.37e-4; 1.9e-5; 1.69e-7; 1.09e-12 |] with
+  | D.Convergence.Quadratic -> ()
+  | c -> Alcotest.failf "expected quadratic, got %s" (D.Convergence.to_string c)
+
 let test_classify_linear () =
   let h = geometric 1.0 0.3 8 in
   match D.Convergence.classify h with
@@ -821,6 +829,7 @@ let () =
       ( "convergence",
         [
           Alcotest.test_case "quadratic" `Quick test_classify_quadratic;
+          Alcotest.test_case "inexact newton" `Quick test_classify_inexact_newton;
           Alcotest.test_case "linear" `Quick test_classify_linear;
           Alcotest.test_case "stagnating" `Quick test_classify_stagnating;
           Alcotest.test_case "diverging" `Quick test_classify_diverging;
