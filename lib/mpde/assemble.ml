@@ -219,16 +219,7 @@ let jacobian_csr scheme (g : Grid.t) ~size ~jacs =
   let np = Grid.points g in
   let big = np * n in
   let coo = Sparse.Coo.create ~capacity:(12 * big) big big in
-  let diff_t1 =
-    match scheme with
-    | Spectral_t1 | Spectral_both -> Some (diff_matrix_t1 g)
-    | Backward | Central_t1 -> None
-  in
-  let diff_t2 =
-    match scheme with
-    | Spectral_both -> Some (diff_matrix_t2 g)
-    | Backward | Central_t1 | Spectral_t1 -> None
-  in
+  let diff_t1, diff_t2 = diff_matrices scheme g in
   stamp_big coo scheme g ~n ~jacs ~diff_t1 ~diff_t2;
   Sparse.Csr.of_coo coo
 

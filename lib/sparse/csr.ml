@@ -91,6 +91,21 @@ let of_coo coo =
       values = Array.sub values 0 !out;
     }
 
+let slot m i j =
+  let lo = ref m.row_ptr.(i) and hi = ref (m.row_ptr.(i + 1) - 1) in
+  let found = ref (-1) in
+  while !lo <= !hi do
+    let mid = (!lo + !hi) / 2 in
+    let c = m.col_idx.(mid) in
+    if c = j then begin
+      found := mid;
+      lo := !hi + 1
+    end
+    else if c < j then lo := mid + 1
+    else hi := mid - 1
+  done;
+  !found
+
 (* Numeric phase of the symbolic/numeric split: re-stamp a frozen
    pattern from a fresh triplet stream. Each triplet is scatter-added
    via binary search on the row's sorted column indices, so entries
@@ -104,26 +119,15 @@ let refresh_from_coo m coo =
     (try
        Coo.iter
          (fun i j v ->
-           let lo = ref m.row_ptr.(i) and hi = ref (m.row_ptr.(i + 1) - 1) in
-           let found = ref false in
-           while !lo <= !hi do
-             let mid = (!lo + !hi) / 2 in
-             let c = m.col_idx.(mid) in
-             if c = j then begin
-               m.values.(mid) <- m.values.(mid) +. v;
-               found := true;
-               lo := !hi + 1
-             end
-             else if c < j then lo := mid + 1
-             else hi := mid - 1
-           done;
-           if not !found then begin
+           let k = slot m i j in
+           if k < 0 then begin
              (* Out-of-pattern triplet: the sparsity changed since the
                 symbolic phase. The caller must rebuild with [of_coo];
                 [m.values] is left in an unspecified state. *)
              ok := false;
              raise Exit
-           end)
+           end;
+           m.values.(k) <- m.values.(k) +. v)
          coo
      with Exit -> ());
     !ok
@@ -152,19 +156,8 @@ let to_dense m =
 let get m i j =
   if i < 0 || i >= m.rows || j < 0 || j >= m.cols then
     invalid_arg "Csr.get: index out of range";
-  let lo = ref m.row_ptr.(i) and hi = ref (m.row_ptr.(i + 1) - 1) in
-  let result = ref 0.0 in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let c = m.col_idx.(mid) in
-    if c = j then begin
-      result := m.values.(mid);
-      lo := !hi + 1
-    end
-    else if c < j then lo := mid + 1
-    else hi := mid - 1
-  done;
-  !result
+  let k = slot m i j in
+  if k < 0 then 0.0 else m.values.(k)
 
 let mul_vec_into m x y =
   if Array.length x <> m.cols || Array.length y <> m.rows then

@@ -16,6 +16,11 @@ val of_coo : Coo.t -> t
     only if they were never inserted (explicit zeros from summation are
     kept so patterns remain stable across Newton iterations). *)
 
+val slot : t -> int -> int -> int
+(** [slot m i j] is the index into [m.values] of entry [(i, j)], or
+    [-1] when the pattern has no such entry; binary search within row
+    [i], which must be in range. *)
+
 val refresh_from_coo : t -> Coo.t -> bool
 (** Numeric phase of the symbolic/numeric assembly split:
     [refresh_from_coo m coo] rewrites [m.values] in place from the

@@ -516,6 +516,64 @@ let prop_diode_monotone =
       let p = Circuit.Diode.default in
       Circuit.Diode.current p (v +. dv) > Circuit.Diode.current p v)
 
+(* Every device kind in one netlist, several with a grounded terminal:
+   the stamp kinds the Jacobian refresher must reproduce. *)
+let all_devices () =
+  let nl = N.create () in
+  N.vsource nl "v1" "a" "0" (W.dc 1.0);
+  N.resistor nl "r1" "a" "b" 1e3;
+  N.capacitor nl "c1" "b" "0" 1e-12;
+  N.inductor nl "l1" "b" "c" 1e-9;
+  N.isource nl "i1" "c" "0" (W.dc 1e-3);
+  N.diode nl "d1" "c" "0" Circuit.Diode.default;
+  N.diode nl "d2" "a" "d" { Circuit.Diode.default with junction_cap = 1e-13 };
+  N.mosfet nl "mn" ~drain:"d" ~gate:"b" ~source:"0" Circuit.Mosfet.default_nmos;
+  N.mosfet nl "mp" ~drain:"e" ~gate:"c" ~source:"a" Circuit.Mosfet.default_pmos;
+  N.bjt nl "q1" ~collector:"e" ~base:"d" ~emitter:"0" Circuit.Bjt.default_npn;
+  N.vccs nl "g1" ~out_plus:"f" ~out_minus:"0" ~in_plus:"a" ~in_minus:"e" 1e-3;
+  N.multiplier nl "x1" ~out_plus:"f" ~out_minus:"e" ~a_plus:"b" ~a_minus:"0" ~b_plus:"c"
+    ~b_minus:"d" 0.5;
+  N.resistor nl "r2" "f" "0" 1e3;
+  Circuit.Mna.build nl
+
+let prop_refresh_every_device =
+  (* Patterns frozen where both MOSFETs conduct — every stamp nonzero,
+     so the pattern is the largest one — then refreshed in place at
+     random states by one refresher, whose slot plan is built once. A
+     random state may cut a MOSFET off, which leaves its gm slots at
+     0.0 exactly where a fresh build has no entry. *)
+  let m = all_devices () in
+  let dae = Circuit.Mna.dae m in
+  let n = Circuit.Mna.size m in
+  let x0 = Array.make n 0.0 in
+  x0.(Circuit.Mna.node_index m "b") <- 1.5;
+  x0.(Circuit.Mna.node_index m "c") <- -1.5;
+  x0.(Circuit.Mna.node_index m "d") <- 0.3;
+  x0.(Circuit.Mna.node_index m "e") <- 0.2;
+  let g, c = dae.Numeric.Dae.jacobians x0 in
+  let refresh =
+    (Option.get dae.Numeric.Dae.fast).Numeric.Dae.jacobian_refresher ()
+  in
+  (* Every fresh entry has a frozen slot, and every frozen slot holds
+     the fresh value bit for bit ([Csr.get] reads 0.0 where the fresh
+     build has no entry). *)
+  let matches (frozen : Sparse.Csr.t) (fresh : Sparse.Csr.t) =
+    let ok = ref true in
+    for i = 0 to frozen.Sparse.Csr.rows - 1 do
+      Sparse.Csr.iter_row frozen i (fun j v ->
+          if Int64.bits_of_float v <> Int64.bits_of_float (Sparse.Csr.get fresh i j) then
+            ok := false);
+      Sparse.Csr.iter_row fresh i (fun j _ -> if Sparse.Csr.slot frozen i j < 0 then ok := false)
+    done;
+    !ok
+  in
+  QCheck.Test.make ~count:200 ~name:"mna: refresh of every device kind = fresh jacobians, bitwise"
+    QCheck.(make Gen.(array_repeat n (float_range (-2.0) 2.0)))
+    (fun x ->
+      let refreshed = refresh x ~g ~c in
+      let g', c' = dae.Numeric.Dae.jacobians x in
+      refreshed && matches g g' && matches c c')
+
 let prop_dcop_divider =
   QCheck.Test.make ~count:50 ~name:"dcop: resistive dividers"
     QCheck.(make Gen.(triple (float_range 0.1 10.0) (float_range 100.0 1e5) (float_range 100.0 1e5)))
@@ -608,5 +666,9 @@ let () =
             prop_mosfet_monotone_in_vgs;
             prop_diode_monotone;
             prop_dcop_divider;
+          ]
+        @ [
+            QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 17 |])
+              prop_refresh_every_device;
           ] );
     ]

@@ -556,6 +556,71 @@ let test_assemble_ws_bitwise_refresh () =
     Array.iteri (fun i d -> x.(i) <- x.(i) -. d) dx
   done
 
+let test_assemble_ws_drift_rebuild () =
+  (* A common-source NMOS stage frozen in cutoff, where gm = 0 and its
+     gate-column stamps are absent from G, then refreshed with the
+     transistor on: the refresher must report the drift, the workspace
+     must rebuild every point from scratch, bitwise equal to a fresh
+     build, and the rebuilt pattern must then refresh in place. *)
+  let nl = Circuit.Netlist.create () in
+  Circuit.Netlist.vsource nl "vdd" "vdd" "0" (W.dc 3.0);
+  Circuit.Netlist.vsource nl "vg" "g" "0" (W.cosine ~amplitude:0.1 ~freq:1e6 ());
+  Circuit.Netlist.resistor nl "rd" "vdd" "d" 1e3;
+  Circuit.Netlist.capacitor nl "cd" "d" "0" 1e-12;
+  Circuit.Netlist.mosfet nl "m1" ~drain:"d" ~gate:"g" ~source:"0" Circuit.Mosfet.default_nmos;
+  let mna = Circuit.Mna.build nl in
+  let shear = Shear.make ~fast_freq:1e6 ~slow_freq:1e4 in
+  let sys = Mpde.Assemble.of_mna ~shear mna in
+  let n = sys.Mpde.Assemble.size in
+  let g = Grid.make ~shear ~n1:4 ~n2:3 in
+  let np = Grid.points g in
+  let state ~vg ~vd =
+    let x = Array.make n 0.0 in
+    x.(Circuit.Mna.node_index mna "vdd") <- 3.0;
+    x.(Circuit.Mna.node_index mna "g") <- vg;
+    x.(Circuit.Mna.node_index mna "d") <- vd;
+    x
+  in
+  let surface x = Array.concat (List.init np (fun _ -> x)) in
+  let off = state ~vg:0.0 ~vd:3.0 and on = state ~vg:1.5 ~vd:1.0 in
+  let refresh =
+    (Option.get sys.Mpde.Assemble.fast).Numeric.Dae.jacobian_refresher ()
+  in
+  let g_off, c_off = sys.Mpde.Assemble.jacobians off in
+  Alcotest.(check bool) "drift reported" false (refresh on ~g:g_off ~c:c_off);
+  let ws = Mpde.Assemble.workspace Mpde.Assemble.Backward sys g in
+  ignore (Mpde.Assemble.point_jacobians_ws ws (surface off));
+  let rebuilds x =
+    Telemetry.enable ();
+    Fun.protect ~finally:Telemetry.disable (fun () ->
+        let jacs = Mpde.Assemble.point_jacobians_ws ws x in
+        match Telemetry.snapshot () with
+        | Some s ->
+            ( jacs,
+              Option.value ~default:0
+                (List.assoc_opt "mpde.assemble.jac_rebuilds" s.Telemetry.counters) )
+        | None -> Alcotest.fail "telemetry disabled")
+  in
+  let same_as_fresh what jacs x =
+    let g', c' = sys.Mpde.Assemble.jacobians x in
+    Array.iteri
+      (fun p (gp, cp) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: point %d bitwise equal to a fresh build" what p)
+          true
+          (Sparse.Csr.same_pattern gp g' && Sparse.Csr.same_pattern cp c'
+          && float_array_bits_equal gp.Sparse.Csr.values g'.Sparse.Csr.values
+          && float_array_bits_equal cp.Sparse.Csr.values c'.Sparse.Csr.values))
+      jacs
+  in
+  let jacs, count = rebuilds (surface on) in
+  Alcotest.(check int) "every point rebuilt" np count;
+  same_as_fresh "rebuilt" jacs on;
+  let on' = state ~vg:1.2 ~vd:1.4 in
+  let jacs, count = rebuilds (surface on') in
+  Alcotest.(check int) "rebuilt pattern refreshes in place" 0 count;
+  same_as_fresh "refreshed" jacs on'
+
 let test_solver_workspace_slot_reuse () =
   (* A retained workspace slot (the per-domain sweep cache) must be
      invisible in the results: the second solve through the slot rebinds
@@ -684,6 +749,46 @@ let test_solver_trajectory_ends_converged () =
   Alcotest.(check (float 0.0)) "last sample is the final residual"
     sol.Mpde.Solver.stats.residual_norm
     traj.(Array.length traj - 1)
+
+(* ---------- golden answers ---------- *)
+
+(* FNV-1a over the IEEE bits of the solution surface: equal hashes mean
+   bitwise-equal answers. *)
+let answer_hash (sol : Mpde.Solver.solution) =
+  Telemetry.Fnv.hex (Array.fold_left Telemetry.Fnv.mix_float Telemetry.Fnv.basis sol.Mpde.Solver.big_x)
+
+(* The unbalanced switching mixer at 32x16 through Engine.run, as one
+   job of the benchmark's sweep workload (disparity 100, RF amplitude
+   0.05). *)
+let unbalanced_sweep_job () =
+  let f_lo = 1e6 in
+  let fd = f_lo /. 100.0 in
+  let problem =
+    Engine.Problem.make ~label:"golden" ~output:"out" ~f_fast:f_lo ~fd (fun () ->
+        Circuits.unbalanced_mixer ~f_lo
+          ~rf_signal:(W.cosine ~amplitude:1.0 ~freq:(f_lo +. fd) ())
+          ~rf_amplitude:0.05 ())
+  in
+  let options = { Engine.Options.default with Engine.Options.n1 = 32; n2 = 16 } in
+  let r = Engine.run problem (Engine.make ~options Engine.Mpde) in
+  match r.Engine.Result.mpde_solution with
+  | Some sol -> sol
+  | None -> Alcotest.fail "mpde job returned no solution"
+
+let test_golden_answers () =
+  (* Answer pins across commits: a change that moves any bit of either
+     answer, or a Newton or GMRES count, fails here even when the new
+     answer would still pass every accuracy check. *)
+  List.iter
+    (fun (name, sol, hash, newton, gmres) ->
+      let st = sol.Mpde.Solver.stats in
+      Alcotest.(check string) (name ^ " answer hash") hash (answer_hash sol);
+      Alcotest.(check int) (name ^ " newton") newton st.Mpde.Solver.newton_iterations;
+      Alcotest.(check int) (name ^ " gmres") gmres st.Mpde.Solver.linear_iterations)
+    [
+      ("balanced mixer 40x30", paper_mixer_40x30 (), "1035bb2a86a199bd", 5, 30);
+      ("unbalanced mixer 32x16 job", unbalanced_sweep_job (), "f5273c4a3d0bc0ab", 2, 5);
+    ]
 
 (* ---------- inexact Newton forcing term ---------- *)
 
@@ -846,6 +951,8 @@ let () =
             test_assemble_jacobian_matches_fd;
           Alcotest.test_case "workspace refresh bitwise" `Quick
             test_assemble_ws_bitwise_refresh;
+          Alcotest.test_case "workspace drift rebuild" `Quick
+            test_assemble_ws_drift_rebuild;
         ] );
       ( "solver",
         [
@@ -866,6 +973,7 @@ let () =
             test_solver_trajectory_ends_converged;
           Alcotest.test_case "workspace slot reuse" `Quick
             test_solver_workspace_slot_reuse;
+          Alcotest.test_case "golden answers" `Quick test_golden_answers;
           Alcotest.test_case "grid refinement" `Slow test_solver_grid_refinement_converges;
           Alcotest.test_case "central-t1 accuracy" `Slow test_solver_central_scheme_more_accurate;
         ] );
