@@ -31,8 +31,6 @@ type t = {
   n1 : int;  (** fast-scale grid points; default [32] *)
   n2 : int;  (** slow-scale grid points; default [24] *)
   scheme : Mpde.Assemble.scheme;  (** default [Backward] *)
-  linear_solver : Mpde.Solver.linear_solver;
-      (** default {!Mpde.Solver.default_gmres} *)
   allow_continuation : bool;
       (** enable the MPDE nonlinear escalation rungs; default [true] *)
   (* result enrichment *)

@@ -119,5 +119,5 @@ val jacobian_ws : workspace -> Sparse.Csr.t
     per-point blocks (call {!point_jacobians_ws} first — raises
     [Invalid_argument] otherwise). The first call assembles the CSR
     symbolically; later calls rewrite values in place and return the
-    {e same} matrix instance, which keeps downstream pattern-keyed
-    caches ([Splu.refactorable], [Ilu0.refactorable]) valid. *)
+    {e same} matrix instance, which keeps the downstream pattern-keyed
+    cache ([Splu.refactorable]) valid. *)

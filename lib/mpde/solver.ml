@@ -11,7 +11,6 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 type linear_solver =
   | Direct
   | Gmres_sweep of { restart : int; max_iter : int }
-  | Gmres_ilu0 of { restart : int; max_iter : int; tol : float }
 
 let default_gmres = Gmres_sweep { restart = 60; max_iter = 600 }
 
@@ -63,9 +62,8 @@ let default_options =
 
 let make_options ?(max_newton = default_options.max_newton)
     ?(tol = default_options.tol) ?(scheme = default_options.scheme)
-    ?(linear_solver = default_options.linear_solver)
     ?(allow_continuation = default_options.allow_continuation) ?budget () =
-  { max_newton; tol; scheme; linear_solver; allow_continuation; budget }
+  { default_options with max_newton; tol; scheme; allow_continuation; budget }
 
 type stats = {
   newton_iterations : int;
@@ -164,18 +162,15 @@ let blocks_uniform (jacs : (Sparse.Csr.t * Sparse.Csr.t) array) =
 let refresh_tol = 0.5
 
 (* Per-solve workspace: assembly scratch plus the linear-solver caches
-   (GMRES Krylov basis, sweep factors, ILU0/sparse-LU factorizations
-   refreshed numerically on their frozen patterns). Owned by exactly
-   one solve on one domain. *)
+   (GMRES Krylov basis, sweep factors, the sparse-LU factorization
+   refreshed numerically on its frozen pattern). Owned by exactly one
+   solve on one domain. *)
 type workspace = {
   mutable asm : Assemble.workspace;
   mutable gmres_ws : Sparse.Krylov.workspace option;
   mutable gmres_restart : int;
-  op_buf : Vec.t;  (* shared operator output (GMRES buffer contract) *)
-  op_ba : Linalg.Kernel.vec;  (* same, for the Bigarray GMRES hot path *)
-  ilu_buf : Vec.t;  (* shared preconditioner output *)
+  op_ba : Linalg.Kernel.vec;  (* shared operator output (GMRES buffer contract) *)
   sweep : sweep_cache;
-  mutable ilu : Sparse.Ilu0.t option;
   mutable splu : Sparse.Splu.t option;
 }
 
@@ -187,9 +182,7 @@ let make_workspace scheme sys (g : Grid.t) =
     asm = Assemble.workspace scheme sys g;
     gmres_ws = None;
     gmres_restart = 0;
-    op_buf = Array.make big 0.0;
     op_ba = Linalg.Kernel.create big;
-    ilu_buf = Array.make big 0.0;
     sweep =
       {
         sc_n = n;
@@ -210,7 +203,6 @@ let make_workspace scheme sys (g : Grid.t) =
         built_extra_diag = nan;
         stale = false;
       };
-    ilu = None;
     splu = None;
   }
 
@@ -233,7 +225,6 @@ let rebind_workspace ws scheme sys (g : Grid.t) =
   ws.sweep.exact <- false;
   ws.sweep.built_extra_diag <- nan;
   ws.sweep.stale <- false;
-  ws.ilu <- None;
   ws.splu <- None;
   ws
 
@@ -597,18 +588,10 @@ let with_extra_diag jac extra_diag =
 let solve_linear ~ws ~linear_solver ~scheme ~budget (g : Grid.t) ~jacs ~extra_diag
     ~sweep_tol ~rhs ~linear_iters =
   (* Numeric-refresh path: with [extra_diag = 0] this returns the same
-     CSR instance every Newton iteration, which keeps the ILU0/sparse-LU
-     pattern caches below valid. *)
+     CSR instance every Newton iteration, which keeps the sparse-LU
+     pattern cache below valid. *)
   let jac () = with_extra_diag (Assemble.jacobian_ws ws.asm) extra_diag in
   let run_gmres ~restart ~max_iter ~tol ~precond op =
-    let workspace = gmres_workspace ws ~restart ~n:(Array.length rhs) in
-    let result =
-      Sparse.Krylov.gmres ~restart ~max_iter ~tol ~precond ?budget ~workspace op rhs
-    in
-    linear_iters := !linear_iters + result.Sparse.Krylov.iterations;
-    result
-  in
-  let run_gmres_ba ~restart ~max_iter ~tol ~precond op =
     let workspace = gmres_workspace ws ~restart ~n:(Array.length rhs) in
     let result =
       Sparse.Krylov.gmres_ba ~restart ~max_iter ~tol ~precond ?budget ~workspace op rhs
@@ -624,10 +607,6 @@ let solve_linear ~ws ~linear_solver ~scheme ~budget (g : Grid.t) ~jacs ~extra_di
       (Linear_stall
          (Printf.sprintf "GMRES stalled (residual %.3e after %d iterations)"
             result.Sparse.Krylov.residual_norm result.Sparse.Krylov.iterations))
-  in
-  let op_of m v =
-    Sparse.Csr.mul_vec_into m v ws.op_buf;
-    ws.op_buf
   in
   match linear_solver with
   | Direct -> (
@@ -686,7 +665,7 @@ let solve_linear ~ws ~linear_solver ~scheme ~budget (g : Grid.t) ~jacs ~extra_di
         build ~cluster:true
       else refresh_sweep_factors cache scheme g ~jacs ~extra_diag;
       let precond = sweep_apply cache g ~jacs in
-      let result = run_gmres_ba ~restart ~max_iter ~tol ~precond op in
+      let result = run_gmres ~restart ~max_iter ~tol ~precond op in
       if result.Sparse.Krylov.converged then result.Sparse.Krylov.x
       else if cache.stale then begin
         (* The lagged (or clustered) factors may have fallen too far
@@ -695,33 +674,11 @@ let solve_linear ~ws ~linear_solver ~scheme ~budget (g : Grid.t) ~jacs ~extra_di
            stall. *)
         Telemetry.count "mpde.precond.lag_rebuilds";
         build ~cluster:false;
-        let result = run_gmres_ba ~restart ~max_iter ~tol ~precond op in
+        let result = run_gmres ~restart ~max_iter ~tol ~precond op in
         if result.Sparse.Krylov.converged then result.Sparse.Krylov.x
         else stalled result
       end
       else stalled result)
-  | Gmres_ilu0 { restart; max_iter; tol } ->
-      Telemetry.span "mpde.linear.gmres-ilu0" @@ fun () ->
-      let m = jac () in
-      let f =
-        match ws.ilu with
-        | Some f when Sparse.Ilu0.refactorable f m ->
-            Sparse.Ilu0.refactor f m;
-            f
-        | _ ->
-            let f = Sparse.Ilu0.factor m in
-            ws.ilu <- Some f;
-            f
-      in
-      let result =
-        run_gmres ~restart ~max_iter ~tol
-          ~precond:(fun r ->
-            Sparse.Ilu0.apply_into f r ws.ilu_buf;
-            ws.ilu_buf)
-          (op_of m)
-      in
-      if result.Sparse.Krylov.converged then result.Sparse.Krylov.x
-      else stalled result
 
 (* Scan per-point Jacobian blocks before they reach the linear solver:
    a NaN entry in G or C would otherwise poison GMRES silently. *)
@@ -822,8 +779,6 @@ let newton_problem ~options ~linear_solver ~ws ?ptc ~sys ~g ~sources ~linear_ite
   }
 
 let is_direct = function Direct -> true | _ -> false
-
-let is_ilu0 = function Gmres_ilu0 _ -> true | _ -> false
 
 let solve ?(options = default_options) ?seed ?workspace_slot
     (sys : Assemble.system) (g : Grid.t) =
@@ -1012,9 +967,6 @@ let solve ?(options = default_options) ?seed ?workspace_slot
     in
     relax alpha0 big_x0
   in
-  let applies_escalated_linear prev =
-    Ladder.on_linear_stall prev && not (is_direct options.linear_solver)
-  in
   let stages =
     [
       {
@@ -1023,15 +975,9 @@ let solve ?(options = default_options) ?seed ?workspace_slot
         attempt = plain_stage "newton" options.linear_solver;
       };
       {
-        Ladder.name = "gmres-ilu0";
-        applies =
-          (fun prev -> applies_escalated_linear prev && not (is_ilu0 options.linear_solver));
-        attempt =
-          plain_stage "gmres-ilu0" (Gmres_ilu0 { restart = 90; max_iter = 900; tol = options.tol });
-      };
-      {
         Ladder.name = "direct-lu";
-        applies = applies_escalated_linear;
+        applies =
+          (fun prev -> Ladder.on_linear_stall prev && not (is_direct options.linear_solver));
         attempt = plain_stage "direct-lu" Direct;
       };
       {

@@ -1,6 +1,6 @@
 (** Newton solution of the discretized MPDE.
 
-    Three linear solvers are provided:
+    Two linear solvers are provided:
 
     - [Direct]: general sparse LU on the global Jacobian — robust,
       reasonable for grids up to a few thousand points;
@@ -25,17 +25,13 @@
       and every step predicted to be the last ([η·‖F‖∞ <= tol]) run at
       the 1e-9 floor, so the converged answer is that of an exact
       solve; each Newton stage keeps its own forcing state, and the
-      chosen η is observed as the [mpde.newton_forcing] histogram;
-    - [Gmres_ilu0]: GMRES preconditioned by a zero-fill ILU of the
-      global Jacobian — slower to set up than the sweep but stronger
-      when the sweep's dropped couplings matter; the first escalation
-      rung after a linear stall.
+      chosen η is observed as the [mpde.newton_forcing] histogram.
 
     {2 Escalation ladder}
 
     When plain Newton fails, {!solve} climbs a declarative
-    {!Resilience.Ladder}: on a *linear-solver stall* it strengthens the
-    preconditioner (ILU0) and finally falls back to direct sparse LU;
+    {!Resilience.Ladder}: on a *linear-solver stall* it falls back to
+    direct sparse LU;
     on *nonlinear* failure (divergence, stall, non-finite device
     evaluations) it runs source-stepping continuation (paper §3: “using
     continuation reliably obtained solutions in 10-20m”) and then a
@@ -50,7 +46,6 @@
 type linear_solver =
   | Direct
   | Gmres_sweep of { restart : int; max_iter : int }
-  | Gmres_ilu0 of { restart : int; max_iter : int; tol : float }
 
 val default_gmres : linear_solver
 
@@ -96,7 +91,6 @@ val make_options :
   ?max_newton:int ->
   ?tol:float ->
   ?scheme:Assemble.scheme ->
-  ?linear_solver:linear_solver ->
   ?allow_continuation:bool ->
   ?budget:Resilience.Budget.t ->
   unit ->
@@ -106,7 +100,7 @@ val make_options :
     per-stage Newton cap (other engines historically said [max_iter]),
     [tol] the residual infinity-norm target (elsewhere [rtol]); see
     DESIGN.md §11 for the full name mapping. Omitted fields default to
-    {!default_options}. *)
+    {!default_options}; [linear_solver] is always {!default_gmres}. *)
 
 type stats = {
   newton_iterations : int;  (** cumulated across all ladder stages *)
@@ -130,7 +124,7 @@ type solution = {
 type workspace
 (** Per-solve numeric state: assembly scratch, the sweep
     preconditioner's dense block inverses, the GMRES
-    Krylov basis, and the Bigarray operator buffers. Owned by exactly
+    Krylov basis, and the Bigarray operator buffer. Owned by exactly
     one solve on one domain at a time. *)
 
 val solve :

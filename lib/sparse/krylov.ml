@@ -1,7 +1,6 @@
 module Vec = Linalg.Vec
 module Kernel = Linalg.Kernel
 
-type operator = Vec.t -> Vec.t
 type ba_operator = Kernel.vec -> Kernel.vec
 
 type stop_reason =
@@ -10,15 +9,6 @@ type stop_reason =
   | Poisoned
   | Budget_exhausted
   | Max_iterations
-  | Scalar_breakdown
-
-let stop_reason_to_string = function
-  | Tolerance -> "tolerance"
-  | Happy_breakdown -> "happy-breakdown"
-  | Poisoned -> "poisoned"
-  | Budget_exhausted -> "budget-exhausted"
-  | Max_iterations -> "max-iterations"
-  | Scalar_breakdown -> "scalar-breakdown"
 
 type result = {
   x : Vec.t;
@@ -28,8 +18,6 @@ type result = {
   restarts : int;
   stop : stop_reason;
 }
-
-let identity v = Array.copy v
 
 (* Preallocated GMRES scratch: the Krylov basis, the column-wise
    Hessenberg, the Givens rotation coefficients, and the residual /
@@ -53,8 +41,7 @@ type workspace = {
   update : Kernel.vec;
   xv : Kernel.vec;  (* the iterate *)
   bv : Kernel.vec;  (* right-hand side staged once per call *)
-  conv_arr : float array;  (* float-array operator boundary staging *)
-  conv_vec : Kernel.vec;
+  conv_vec : Kernel.vec;  (* identity preconditioner's output *)
 }
 
 let workspace ~restart ~n =
@@ -72,7 +59,6 @@ let workspace ~restart ~n =
     update = Kernel.create n;
     xv = Kernel.create n;
     bv = Kernel.create n;
-    conv_arr = Array.make n 0.0;
     conv_vec = Kernel.create n;
   }
 
@@ -302,95 +288,3 @@ let gmres_ba ?(restart = 50) ?(max_iter = 500) ?(tol = 1e-10) ?precond ?budget
     restarts = !restarts;
     stop;
   }
-
-(* Float-array front end: stages the operator and preconditioner across
-   the Bigarray core through the workspace's boundary buffers. The
-   accumulation order of every float operation is preserved, so the
-   results are bitwise identical to running the kernels on
-   [float array] directly. *)
-let gmres ?(restart = 50) ?(max_iter = 500) ?(tol = 1e-10) ?(precond = identity)
-    ?budget ?x0 ?workspace:ws op b =
-  let n = Array.length b in
-  let ws =
-    match ws with
-    | Some w when w.ws_n = n && w.ws_restart >= restart -> w
-    | _ -> workspace ~restart ~n
-  in
-  let stage f v =
-    Kernel.blit_to_array v ws.conv_arr;
-    let out = f ws.conv_arr in
-    Kernel.blit_from_array out ws.conv_vec;
-    ws.conv_vec
-  in
-  gmres_ba ~restart ~max_iter ~tol ~precond:(stage precond) ?budget ?x0
-    ~workspace:ws (stage op) b
-
-let bicgstab ?(max_iter = 500) ?(tol = 1e-10) ?(precond = identity) ?x0 op b =
-  let n = Array.length b in
-  let x = match x0 with Some x0 -> Array.copy x0 | None -> Array.make n 0.0 in
-  let r = if x0 = None then Array.copy b else Vec.sub b (op x) in
-  let r0 = Array.copy r in
-  let bnorm = Vec.norm2 b in
-  let target = if bnorm > 0.0 then tol *. bnorm else tol in
-  let rho = ref 1.0 and alpha = ref 1.0 and omega = ref 1.0 in
-  let v = Array.make n 0.0 and p = Array.make n 0.0 in
-  let iters = ref 0 in
-  let res = ref (Vec.norm2 r) in
-  let broke_down = ref false in
-  while !res > target && !iters < max_iter && not !broke_down do
-    let rho_new = Vec.dot r0 r in
-    if Float.abs rho_new < 1e-300 then broke_down := true
-    else begin
-      let beta = rho_new /. !rho *. (!alpha /. !omega) in
-      rho := rho_new;
-      (* p = r + beta (p - omega v) *)
-      for i = 0 to n - 1 do
-        p.(i) <- r.(i) +. (beta *. (p.(i) -. (!omega *. v.(i))))
-      done;
-      let phat = precond p in
-      let v' = op phat in
-      Array.blit v' 0 v 0 n;
-      let denom = Vec.dot r0 v in
-      if Float.abs denom < 1e-300 then broke_down := true
-      else begin
-        alpha := rho_new /. denom;
-        let s = Array.copy r in
-        Vec.axpy (-. !alpha) v s;
-        if Vec.norm2 s <= target then begin
-          Vec.axpy 1.0 (Vec.scale !alpha phat) x;
-          Array.blit s 0 r 0 n;
-          res := Vec.norm2 r
-        end
-        else begin
-          let shat = precond s in
-          let t = op shat in
-          let tt = Vec.dot t t in
-          if tt < 1e-300 then broke_down := true
-          else begin
-            omega := Vec.dot t s /. tt;
-            for i = 0 to n - 1 do
-              x.(i) <- x.(i) +. (!alpha *. phat.(i)) +. (!omega *. shat.(i));
-              r.(i) <- s.(i) -. (!omega *. t.(i))
-            done;
-            res := Vec.norm2 r;
-            if Float.abs !omega < 1e-300 then broke_down := true
-          end
-        end
-      end
-    end;
-    incr iters
-  done;
-  let converged = !res <= target in
-  {
-    x;
-    converged;
-    iterations = !iters;
-    residual_norm = !res;
-    restarts = 0;
-    stop =
-      (if converged then Tolerance
-       else if !broke_down then Scalar_breakdown
-       else Max_iterations);
-  }
-
-let csr_operator m v = Csr.mul_vec m v

@@ -1,15 +1,12 @@
-(** Matrix-free Krylov solvers: restarted GMRES and BiCGSTAB.
+(** Matrix-free restarted GMRES.
 
-    Both accept the operator and the (right) preconditioner as closures
-    so they can be used with explicit CSR matrices, with the
-    structure-exploiting MPDE block sweep, or fully matrix-free. *)
-
-type operator = Linalg.Vec.t -> Linalg.Vec.t
+    The operator and the (right) preconditioner are closures, so the
+    solver runs on explicit CSR matrices ({!Csr.mul_vec_ba_into}), on
+    the structure-exploiting MPDE block sweep, or fully matrix-free. *)
 
 type ba_operator = Linalg.Kernel.vec -> Linalg.Kernel.vec
 (** Operator over the unboxed Float64 {!Linalg.Kernel.vec}s the GMRES
-    core runs on. The {!gmres_ba} hot path avoids the
-    [float array] staging copies of {!gmres}. *)
+    core runs on. *)
 
 type stop_reason =
   | Tolerance  (** residual met the convergence target *)
@@ -17,16 +14,13 @@ type stop_reason =
   | Poisoned  (** operator/preconditioner produced a non-finite vector *)
   | Budget_exhausted
   | Max_iterations
-  | Scalar_breakdown  (** BiCGSTAB scalar recurrence collapsed *)
-
-val stop_reason_to_string : stop_reason -> string
 
 type result = {
   x : Linalg.Vec.t;
   converged : bool;
   iterations : int;  (** total inner iterations performed *)
   residual_norm : float;  (** final preconditioned-system residual norm *)
-  restarts : int;  (** GMRES restart cycles entered (0 for BiCGSTAB) *)
+  restarts : int;  (** GMRES restart cycles entered *)
   stop : stop_reason;  (** why the iteration ended *)
 }
 
@@ -43,18 +37,18 @@ val workspace : restart:int -> n:int -> workspace
 (** Allocate scratch for systems of size [n] solved with up to
     [restart] inner iterations per cycle. *)
 
-val gmres :
+val gmres_ba :
   ?restart:int ->
   ?max_iter:int ->
   ?tol:float ->
-  ?precond:operator ->
+  ?precond:ba_operator ->
   ?budget:Resilience.Budget.t ->
   ?x0:Linalg.Vec.t ->
   ?workspace:workspace ->
-  operator ->
+  ba_operator ->
   Linalg.Vec.t ->
   result
-(** [gmres op b] solves [op x = b] with right preconditioning:
+(** [gmres_ba op b] solves [op x = b] with right preconditioning:
     the Krylov space is built for [op ∘ precond] and the returned [x]
     is [precond y]. Defaults: [restart = 50], [max_iter = 500],
     [tol = 1e-10] (relative to [‖b‖], absolute when [b = 0]).
@@ -70,35 +64,4 @@ val gmres :
     locally if its shape does not cover [(restart, n)]). Buffer
     contract: [op] and [precond] may return a shared internal buffer —
     GMRES copies anything it keeps before the next call, and may mutate
-    the returned vector in place.
-
-    This entry point stages the [float array] closures across the
-    Bigarray core of {!gmres_ba} with the accumulation order of every
-    float operation preserved — results are bitwise identical to the
-    historical [float array] implementation. *)
-
-val gmres_ba :
-  ?restart:int ->
-  ?max_iter:int ->
-  ?tol:float ->
-  ?precond:ba_operator ->
-  ?budget:Resilience.Budget.t ->
-  ?x0:Linalg.Vec.t ->
-  ?workspace:workspace ->
-  ba_operator ->
-  Linalg.Vec.t ->
-  result
-(** {!gmres} with the operator and preconditioner over
-    {!Linalg.Kernel.vec} — the allocation- and staging-free hot path.
-    Same semantics and defaults as {!gmres}. *)
-
-val bicgstab :
-  ?max_iter:int ->
-  ?tol:float ->
-  ?precond:operator ->
-  ?x0:Linalg.Vec.t ->
-  operator ->
-  Linalg.Vec.t ->
-  result
-
-val csr_operator : Csr.t -> operator
+    the returned vector in place. *)

@@ -123,9 +123,8 @@ let test_backoff_bounds_and_determinism () =
 let small_options =
   { Engine.Options.default with n1 = 16; n2 = 12; steps_per_period = 64 }
 
-(* Voltage-driven RC: the MNA carries a source branch row whose ILU0
-   pivot is structurally zero, so the gmres-ilu0 rung fails over to
-   direct-lu — which makes it the right fixture for the deeper rungs. *)
+(* Voltage-driven RC: the MNA carries a voltage-source branch row with a
+   structurally zero diagonal, like every catalog circuit. *)
 let rc_problem ?(label = "rc") ?(f_fast = 1e6) ?(fd = 1e4) () =
   Engine.Problem.make ~label ~output:"out" ~f_fast ~fd (fun () ->
       Circuits.rc_lowpass
@@ -135,8 +134,8 @@ let rc_problem ?(label = "rc") ?(f_fast = 1e6) ?(fd = 1e4) () =
              (W.sine ~amplitude:1.0 ~freq:(f_fast +. fd) ()))
         ())
 
-(* Current-driven RC: node-only unknowns, every ILU0 pivot nonzero, so
-   the gmres-ilu0 rung can actually rescue an injected sweep stall. *)
+(* Current-driven RC: node-only unknowns, a nonzero diagonal in every
+   row of the MNA. *)
 let current_rc_problem ?(f_fast = 1e6) ?(fd = 1e4) () =
   Engine.Problem.make ~label:"irc" ~output:"out" ~f_fast ~fd (fun () ->
       let nl = Circuit.Netlist.create () in
@@ -171,16 +170,36 @@ let test_stage_newton () =
   let r = run_mpde (rc_problem ()) in
   Alcotest.(check string) "clean solve stays on newton" "newton" (strategy r)
 
-let test_stage_gmres_ilu0 () =
-  (* Stall the first-stage GMRES only while the ladder is on its
-     "newton" rung; the ILU0 rung then runs uninjected and rescues. *)
-  check_rescued ~expect:"gmres-ilu0" "stall@gmres/newton:1x9999"
-    (current_rc_problem ())
-
 let test_stage_direct_lu () =
-  (* Same plan on the voltage-driven RC: ILU0 hits its structural zero
-     pivot, the ladder climbs one more rung. *)
-  check_rescued ~expect:"direct-lu" "stall@gmres/newton:1x9999" (rc_problem ())
+  (* Stall the first-stage GMRES only while the ladder is on its
+     "newton" rung; direct sparse LU then runs uninjected and rescues,
+     with or without a voltage-source branch row. *)
+  List.iter
+    (check_rescued ~expect:"direct-lu" "stall@gmres/newton:1x9999")
+    [ rc_problem (); current_rc_problem () ]
+
+let test_catalog_linear_stall_ladder () =
+  (* Every catalog circuit carries a voltage-source branch row. Under a
+     first-rung GMRES stall each one climbs exactly one linear rung,
+     direct sparse LU, which rescues it; the report lists the ladder's
+     four stages in order. *)
+  List.iter
+    (fun (c : Serve.Catalog.t) ->
+      let problem =
+        Serve.Catalog.problem_of c ~f_fast:c.Serve.Catalog.default_fast
+          ~fd:c.Serve.Catalog.default_fd
+      in
+      let r = run_mpde ~spec:"stall@gmres/newton:1x9999" problem in
+      let name = c.Serve.Catalog.name in
+      Alcotest.(check bool) (name ^ " converged") true r.Engine.Result.converged;
+      Alcotest.(check string) (name ^ " rescued by direct-lu") "direct-lu" (strategy r);
+      Alcotest.(check (list string))
+        (name ^ " ladder stages")
+        [ "newton"; "direct-lu"; "source-ramp"; "ptc-ramp" ]
+        (List.map
+           (fun (s : Resilience.Report.stage) -> s.Resilience.Report.name)
+           r.Engine.Result.report.Resilience.Report.stages))
+    Serve.Catalog.all
 
 let test_stage_source_ramp () =
   (* A non-finite residual is a Nonlinear/Non_finite failure: the
@@ -475,8 +494,9 @@ let () =
       ( "ladder",
         [
           Alcotest.test_case "newton (clean)" `Quick test_stage_newton;
-          Alcotest.test_case "gmres-ilu0 rescue" `Quick test_stage_gmres_ilu0;
           Alcotest.test_case "direct-lu rescue" `Quick test_stage_direct_lu;
+          Alcotest.test_case "catalog linear stall reaches direct-lu" `Quick
+            test_catalog_linear_stall_ladder;
           Alcotest.test_case "source-ramp rescue" `Quick test_stage_source_ramp;
           Alcotest.test_case "ptc-ramp rescue" `Quick test_stage_ptc_ramp;
           Alcotest.test_case "sweep stall exact rebuild" `Quick

@@ -120,14 +120,24 @@ let test_newton_budget_exhaustion () =
 
 (* ---------- GMRES regressions ---------- *)
 
+(* Bigarray operator [y.(i) <- f x i] over one shared output buffer,
+   as the GMRES buffer contract allows. *)
+let kernel_op n f =
+  let y = Linalg.Kernel.create n in
+  fun x ->
+    for i = 0 to n - 1 do
+      Linalg.Kernel.set y i (f x i)
+    done;
+    y
+
 let test_gmres_happy_breakdown () =
   (* With a diagonal operator and b in a 1-dimensional invariant
      subspace the Krylov space is exhausted after one iteration: the
      Hessenberg subdiagonal is exactly zero. The solver must detect the
      breakdown, return the exact solution, and not divide by zero. *)
-  let op v = Array.map (fun x -> 2.0 *. x) v in
+  let op = kernel_op 3 (fun x i -> 2.0 *. Linalg.Kernel.get x i) in
   let b = [| 4.0; 0.0; 0.0 |] in
-  let r = Sparse.Krylov.gmres ~restart:10 ~max_iter:50 ~tol:1e-12 op b in
+  let r = Sparse.Krylov.gmres_ba ~restart:10 ~max_iter:50 ~tol:1e-12 op b in
   Alcotest.(check bool) "converged" true r.Sparse.Krylov.converged;
   Alcotest.(check bool) "exact" true (Float.abs (r.Sparse.Krylov.x.(0) -. 2.0) < 1e-10);
   Alcotest.(check bool) "finite" true (Guard.finite r.Sparse.Krylov.x);
@@ -137,9 +147,9 @@ let test_gmres_nan_operator_terminates () =
   (* An operator that poisons every product must not NaN-pollute the
      Givens QR or loop forever on restarts; the result is a clean
      non-converged report with the finite initial iterate. *)
-  let op v = Array.map (fun _ -> nan) v in
+  let op = kernel_op 2 (fun _ _ -> nan) in
   let b = [| 1.0; 2.0 |] in
-  let r = Sparse.Krylov.gmres ~restart:5 ~max_iter:100 op b in
+  let r = Sparse.Krylov.gmres_ba ~restart:5 ~max_iter:100 op b in
   Alcotest.(check bool) "not converged" false r.Sparse.Krylov.converged;
   Alcotest.(check bool) "iterate stays finite" true (Guard.finite r.Sparse.Krylov.x)
 
@@ -147,15 +157,16 @@ let test_gmres_budget () =
   (* 100-dim Laplacian-ish operator, tiny linear budget: must stop at
      the cap with converged=false rather than raising. *)
   let n = 100 in
-  let op v =
-    Array.init n (fun i ->
-        let left = if i > 0 then v.(i - 1) else 0.0 in
-        let right = if i < n - 1 then v.(i + 1) else 0.0 in
-        (2.0 *. v.(i)) -. left -. right)
+  let get = Linalg.Kernel.get in
+  let op =
+    kernel_op n (fun v i ->
+        let left = if i > 0 then get v (i - 1) else 0.0 in
+        let right = if i < n - 1 then get v (i + 1) else 0.0 in
+        (2.0 *. get v i) -. left -. right)
   in
   let b = Array.make n 1.0 in
   let budget = Budget.make ~max_linear:7 () in
-  let r = Sparse.Krylov.gmres ~restart:20 ~max_iter:500 ~tol:1e-14 ~budget op b in
+  let r = Sparse.Krylov.gmres_ba ~restart:20 ~max_iter:500 ~tol:1e-14 ~budget op b in
   Alcotest.(check bool) "not converged" false r.Sparse.Krylov.converged;
   Alcotest.(check bool) "stopped at cap" true (r.Sparse.Krylov.iterations <= 8);
   Alcotest.(check bool) "finite" true (Guard.finite r.Sparse.Krylov.x)
