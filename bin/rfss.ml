@@ -444,9 +444,20 @@ type sweep_format = Sweep_csv | Sweep_json
    is byte-for-byte identical to an uninterrupted one by construction
    (floats round-trip through the checkpoint's %.17g exactly). *)
 
+(* The winning ladder rung, read from the record's stored resilience
+   report: a job rescued by direct-lu says so, instead of reading like
+   a clean solve. [None] for error rows, which store no report. *)
+let record_strategy (r : Engine.Checkpoint.record) =
+  match r.Engine.Checkpoint.report with
+  | None -> None
+  | Some report -> (
+      match J.parse report with
+      | j -> Option.bind (J.member "strategy" j) J.str
+      | exception J.Parse_error _ -> None)
+
 let emit_sweep_csv ~no_wall (records : Engine.Checkpoint.record array) =
   Printf.printf
-    "label,engine,fast,fd,status,converged,newton,residual,h1,thd,waveform_hash,attempts%s,message\n"
+    "label,engine,fast,fd,status,converged,newton,residual,h1,thd,waveform_hash,attempts,strategy%s,message\n"
     (if no_wall then "" else ",wall_seconds");
   Array.iter
     (fun (r : Engine.Checkpoint.record) ->
@@ -463,14 +474,15 @@ let emit_sweep_csv ~no_wall (records : Engine.Checkpoint.record array) =
             | Some st -> Printf.sprintf " [stage %s]" st
             | None -> "")
       in
-      Printf.printf "%s,%s,%.9e,%.9e,%s,%b,%d,%.6e,%.6e,%.6e,%s,%d%s,%s\n"
+      Printf.printf "%s,%s,%.9e,%.9e,%s,%b,%d,%.6e,%.6e,%.6e,%s,%d,%s%s,%s\n"
         r.Engine.Checkpoint.label r.Engine.Checkpoint.engine
         r.Engine.Checkpoint.f_fast r.Engine.Checkpoint.fd
         r.Engine.Checkpoint.status r.Engine.Checkpoint.converged
         r.Engine.Checkpoint.newton r.Engine.Checkpoint.residual
         r.Engine.Checkpoint.h1 r.Engine.Checkpoint.thd
-        r.Engine.Checkpoint.waveform_hash r.Engine.Checkpoint.attempts wall
-        message)
+        r.Engine.Checkpoint.waveform_hash r.Engine.Checkpoint.attempts
+        (Option.value ~default:"-" (record_strategy r))
+        wall message)
     records
 
 (* Metrics are %.6e and tones %.9e, as in the CSV. *)
@@ -488,6 +500,7 @@ let emit_sweep_json ~no_wall (records : Engine.Checkpoint.record array) =
         r.Engine.Checkpoint.f_fast r.Engine.Checkpoint.fd
         (J.quote r.Engine.Checkpoint.status)
         r.Engine.Checkpoint.attempts;
+      Option.iter (fun st -> add ",\"strategy\":%s" (J.quote st)) (record_strategy r);
       (if r.Engine.Checkpoint.status = "error" then begin
          add ",\"message\":%s" (J.quote r.Engine.Checkpoint.message);
          Option.iter (fun st -> add ",\"stage\":%s" (J.quote st))

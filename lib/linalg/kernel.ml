@@ -91,12 +91,6 @@ let axpy_dot a (x : vec) (y : vec) (z : vec) =
   done;
   !s
 
-let scale_ip a (x : vec) =
-  let n = Bigarray.Array1.dim x in
-  for i = 0 to n - 1 do
-    Bigarray.Array1.unsafe_set x i (a *. Bigarray.Array1.unsafe_get x i)
-  done
-
 let scale_into a (x : vec) (y : vec) =
   check_same_dim x y;
   let n = Bigarray.Array1.dim x in
@@ -121,14 +115,6 @@ let add_ip (x : vec) (y : vec) =
     Bigarray.Array1.unsafe_set x i
       (Bigarray.Array1.unsafe_get x i +. Bigarray.Array1.unsafe_get y i)
   done
-
-let is_finite (x : vec) =
-  let n = Bigarray.Array1.dim x in
-  let ok = ref true in
-  for i = 0 to n - 1 do
-    if not (Float.is_finite (Bigarray.Array1.unsafe_get x i)) then ok := false
-  done;
-  !ok
 
 (* CSR sparse matrix-vector product y = A x with the index arrays
    handed in raw. One validation pass over [row_ptr]'s extremes and the

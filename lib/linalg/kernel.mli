@@ -37,7 +37,6 @@ val axpy_dot : float -> vec -> vec -> vec -> float
     the updated [y] in one pass — bitwise equal to [axpy a x y] followed
     by [dot z y]. [z] may be [y] itself (the squared norm). *)
 
-val scale_ip : float -> vec -> unit
 val scale_into : float -> vec -> vec -> unit
 (** [scale_into a x y] computes [y <- a*x]. *)
 
@@ -46,9 +45,6 @@ val sub_into : vec -> vec -> vec -> unit
 
 val add_ip : vec -> vec -> unit
 (** [add_ip x y] computes [x <- x + y]. *)
-
-val is_finite : vec -> bool
-(** No element is NaN or infinite. *)
 
 val spmv :
   rows:int ->

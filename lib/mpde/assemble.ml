@@ -304,13 +304,45 @@ let residual_ws ws ~sources big_x =
     ~sources r;
   r
 
+(* Does every grid point's state carry point 0's IEEE bits? Bits, not
+   float equality: -0.0 and 0.0 may stamp differently, and a NaN state
+   never equals itself. *)
+let replicated ~n ~np big_x =
+  let same = ref true and p = ref 1 in
+  while !same && !p < np do
+    let base = !p * n in
+    for v = 0 to n - 1 do
+      if
+        not
+          (Int64.equal
+             (Int64.bits_of_float big_x.(base + v))
+             (Int64.bits_of_float big_x.(v)))
+      then same := false
+    done;
+    incr p
+  done;
+  !same
+
 let point_jacobians_ws ws big_x =
   Telemetry.span "mpde.assemble.jacobians" @@ fun () ->
   let np = ws.ws_np in
-  if Array.length ws.jacs <> np then
-    ws.jacs <-
-      Array.init np (fun p ->
-          ws.ws_sys.jacobians (state_of ~size:ws.ws_n big_x p))
+  if Array.length ws.jacs <> np then begin
+    if replicated ~n:ws.ws_n ~np big_x then begin
+      (* Replicated seed (the DC point over the grid): the devices see
+         bit-identical states, so one evaluation gives every point's
+         values. Each point owns a copy of them, over one shared
+         pattern that nothing writes after construction. *)
+      let ((g0, c0) as j0) = ws.ws_sys.jacobians (state_of ~size:ws.ws_n big_x 0) in
+      let copy (m : Sparse.Csr.t) =
+        { m with Sparse.Csr.values = Array.copy m.Sparse.Csr.values }
+      in
+      ws.jacs <- Array.init np (fun p -> if p = 0 then j0 else (copy g0, copy c0))
+    end
+    else
+      ws.jacs <-
+        Array.init np (fun p ->
+            ws.ws_sys.jacobians (state_of ~size:ws.ws_n big_x p))
+  end
   else begin
     match ws.refresh_jacs with
     | Some refresh ->

@@ -95,8 +95,10 @@ let t1_in_diag = function
 (* Reusable state for the block forward-substitution sweep: the dense
    per-point diagonal inverses and the apply buffers. A (re)build
    stamps D_p into the shared [stage] matrix, factors it in place and
-   writes D_p⁻¹ into [mats.(p)], so the np dense blocks are allocated
-   exactly once per workspace. [factor_id.(p)] names the point whose
+   writes D_p⁻¹ into [mats.(p)]. A point's dense block is allocated the
+   first time that point is factored and kept for the workspace's life:
+   a solve whose sweep shares a few inverses holds a few blocks, and an
+   exact rebuild allocates all np. [factor_id.(p)] names the point whose
    inverse block [p] uses ([p] itself when unshared); [exact] records
    whether every inverse was built from its own point's Jacobian (as
    opposed to a drift-clustered representative's). *)
@@ -105,7 +107,7 @@ type sweep_cache = {
   sc_np : int;
   sc_n1 : int;
   sc_t1d : bool;  (* t1 coupling inside the diagonal (backward scheme) *)
-  mats : Linalg.Mat.t array;  (* np: D_p⁻¹ of every representative p *)
+  mats : Linalg.Mat.t array;  (* np: D_p⁻¹ per representative p; 0×0 until p is factored *)
   stage : Linalg.Mat.t;  (* n×n: D_p stamped and LU-factored in place *)
   mutable built : bool;  (* false until the first build *)
   factor_id : int array;  (* np: representative point of block p's inverse *)
@@ -189,7 +191,7 @@ let make_workspace scheme sys (g : Grid.t) =
         sc_np = np;
         sc_n1 = g.Grid.n1;
         sc_t1d = t1_in_diag scheme;
-        mats = Array.init np (fun _ -> Linalg.Mat.create n n);
+        mats = Array.make np (Linalg.Mat.create 0 0);
         stage = Linalg.Mat.create n n;
         built = false;
         factor_id = Array.make np 0;
@@ -266,6 +268,7 @@ let factor_sweep_point cache scheme (g : Grid.t) ~jacs ~extra_diag p =
     done;
     cache.row_scale.((p * n) + i) <- Float.max !m 1e-300
   done;
+  if cache.mats.(p).Linalg.Mat.rows <> n then cache.mats.(p) <- Linalg.Mat.create n n;
   Linalg.Lu.inverse_into (Linalg.Lu.factor_in_place d) cache.mats.(p)
 
 (* Is point [p]'s Jacobian within the refresh tolerance of the build
@@ -483,10 +486,11 @@ let sweep_apply cache (g : Grid.t) ~jacs (r : Linalg.Kernel.vec) =
   let t1d = cache.sc_t1d in
   let inv_h1 = 1.0 /. g.Grid.h1 and inv_h2 = 1.0 /. g.Grid.h2 in
   let x = cache.sx and y = cache.cw and rhs = cache.rhs in
+  (* [i] is p's t1 index, stepped alongside p instead of [p mod n1]. *)
+  let i = ref 0 in
   for p = 0 to np - 1 do
-    let i = p mod n1 in
     let base = p * n in
-    let west = t1d && i > 0 and south = p >= n1 in
+    let west = t1d && !i > 0 and south = p >= n1 in
     for row = 0 to n - 1 do
       let s = ref (Bigarray.Array1.unsafe_get r (base + row)) in
       if west then
@@ -496,16 +500,40 @@ let sweep_apply cache (g : Grid.t) ~jacs (r : Linalg.Kernel.vec) =
           !s +. (inv_h2 *. Bigarray.Array1.unsafe_get y (base - (n1 * n) + row));
       Array.unsafe_set rhs row !s
     done;
+    (* x_p = D_p⁻¹·rhs, four rows per pass over [rhs]: four independent
+       accumulator chains instead of one, each summed left to right as
+       a one-row loop would, so the bits do not change. *)
     let d = cache.mats.(cache.factor_id.(p)).Linalg.Mat.data in
-    for row = 0 to n - 1 do
-      let db = row * n in
+    let row = ref 0 in
+    while !row + 3 < n do
+      let d0 = !row * n in
+      let d1 = d0 + n in
+      let d2 = d1 + n in
+      let d3 = d2 + n in
+      let s0 = ref 0.0 and s1 = ref 0.0 and s2 = ref 0.0 and s3 = ref 0.0 in
+      for k = 0 to n - 1 do
+        let rk = Array.unsafe_get rhs k in
+        s0 := !s0 +. (Array.unsafe_get d (d0 + k) *. rk);
+        s1 := !s1 +. (Array.unsafe_get d (d1 + k) *. rk);
+        s2 := !s2 +. (Array.unsafe_get d (d2 + k) *. rk);
+        s3 := !s3 +. (Array.unsafe_get d (d3 + k) *. rk)
+      done;
+      Bigarray.Array1.unsafe_set x (base + !row) !s0;
+      Bigarray.Array1.unsafe_set x (base + !row + 1) !s1;
+      Bigarray.Array1.unsafe_set x (base + !row + 2) !s2;
+      Bigarray.Array1.unsafe_set x (base + !row + 3) !s3;
+      row := !row + 4
+    done;
+    while !row < n do
+      let db = !row * n in
       let s = ref 0.0 in
       for k = 0 to n - 1 do
         s := !s +. (Array.unsafe_get d (db + k) *. Array.unsafe_get rhs k)
       done;
-      Bigarray.Array1.unsafe_set x (base + row) !s
+      Bigarray.Array1.unsafe_set x (base + !row) !s;
+      incr row
     done;
-    if (t1d && i + 1 < n1) || p + n1 < np then begin
+    if (t1d && !i + 1 < n1) || p + n1 < np then begin
       let c = snd jacs.(p) in
       let rp = c.Sparse.Csr.row_ptr
       and ci = c.Sparse.Csr.col_idx
@@ -520,7 +548,8 @@ let sweep_apply cache (g : Grid.t) ~jacs (r : Linalg.Kernel.vec) =
         done;
         Bigarray.Array1.unsafe_set y (base + row) !s
       done
-    end
+    end;
+    i := if !i + 1 = n1 then 0 else !i + 1
   done;
   x
 
@@ -568,16 +597,23 @@ let sweep_op_apply cache (g : Grid.t) ~jacs ~extra_diag
         (!t +. (extra_diag *. Bigarray.Array1.unsafe_get v (base + i)))
     done
   done;
-  for p = 0 to cache.sc_np - 1 do
-    let i = p mod g.Grid.n1 and j = p / g.Grid.n1 in
-    let bi = Grid.point_index g (i - 1) j * n in
-    let bj = Grid.point_index g i (j - 1) * n in
-    let base = p * n in
-    for r = 0 to n - 1 do
-      Bigarray.Array1.unsafe_set out (base + r)
-        (Bigarray.Array1.unsafe_get out (base + r)
-        -. (inv_h1 *. Bigarray.Array1.unsafe_get w (bi + r))
-        -. (inv_h2 *. Bigarray.Array1.unsafe_get w (bj + r)))
+  (* Neighbour couplings, point order p = j·n1 + i; the periodic wraps
+     (i = 0 reads i = n1−1, j = 0 reads j = n2−1) come from the loop
+     indices, not from a division per point. *)
+  let n1 = g.Grid.n1 and n2 = g.Grid.n2 in
+  for j = 0 to n2 - 1 do
+    let jm1 = if j = 0 then n2 - 1 else j - 1 in
+    for i = 0 to n1 - 1 do
+      let im1 = if i = 0 then n1 - 1 else i - 1 in
+      let bi = ((j * n1) + im1) * n in
+      let bj = ((jm1 * n1) + i) * n in
+      let base = ((j * n1) + i) * n in
+      for r = 0 to n - 1 do
+        Bigarray.Array1.unsafe_set out (base + r)
+          (Bigarray.Array1.unsafe_get out (base + r)
+          -. (inv_h1 *. Bigarray.Array1.unsafe_get w (bi + r))
+          -. (inv_h2 *. Bigarray.Array1.unsafe_get w (bj + r)))
+      done
     done
   done
 
@@ -681,29 +717,42 @@ let solve_linear ~ws ~linear_solver ~scheme ~budget (g : Grid.t) ~jacs ~extra_di
       else stalled result)
 
 (* Scan per-point Jacobian blocks before they reach the linear solver:
-   a NaN entry in G or C would otherwise poison GMRES silently. *)
+   a NaN entry in G or C would otherwise poison GMRES silently. A flat
+   pass over the value arrays clears the common case; only when it
+   meets a non-finite value does the row-by-row scan run to name the
+   first offending entry. *)
 let check_jacobians_finite ~n jacs =
-  Array.iteri
-    (fun p (gp, cp) ->
-      let check_csr which (m : Sparse.Csr.t) =
-        for i = 0 to n - 1 do
-          Sparse.Csr.iter_row m i (fun j v ->
-              if not (Float.is_finite v) then
-                raise
-                  (Guard.Non_finite
-                     {
-                       Guard.index = (p * n) + i;
-                       value = v;
-                       block = Some p;
-                       offset = Some i;
-                       context =
-                         Printf.sprintf "MPDE %s-Jacobian entry (%d,%d)" which i j;
-                     }))
-        done
-      in
-      check_csr "G" gp;
-      check_csr "C" cp)
-    jacs
+  let values_finite (m : Sparse.Csr.t) =
+    let v = m.Sparse.Csr.values in
+    let ok = ref true in
+    for k = 0 to Array.length v - 1 do
+      if not (Float.is_finite (Array.unsafe_get v k)) then ok := false
+    done;
+    !ok
+  in
+  if not (Array.for_all (fun (gp, cp) -> values_finite gp && values_finite cp) jacs)
+  then
+    Array.iteri
+      (fun p (gp, cp) ->
+        let check_csr which (m : Sparse.Csr.t) =
+          for i = 0 to n - 1 do
+            Sparse.Csr.iter_row m i (fun j v ->
+                if not (Float.is_finite v) then
+                  raise
+                    (Guard.Non_finite
+                       {
+                         Guard.index = (p * n) + i;
+                         value = v;
+                         block = Some p;
+                         offset = Some i;
+                         context =
+                           Printf.sprintf "MPDE %s-Jacobian entry (%d,%d)" which i j;
+                       }))
+          done
+        in
+        check_csr "G" gp;
+        check_csr "C" cp)
+      jacs
 
 (* Pseudo-transient loading: residual gains [alpha·(x − anchor)] and the
    Jacobian [alpha·I], pulling the iterate toward the anchor while

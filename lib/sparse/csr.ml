@@ -133,17 +133,6 @@ let refresh_from_coo m coo =
     !ok
   end
 
-let of_dense ?(drop_tol = 0.0) m =
-  let rows, cols = Linalg.Mat.dims m in
-  let coo = Coo.create ~capacity:(rows * 4) rows cols in
-  for i = 0 to rows - 1 do
-    for j = 0 to cols - 1 do
-      let v = Linalg.Mat.get m i j in
-      if Float.abs v > drop_tol then Coo.add coo i j v
-    done
-  done;
-  of_coo coo
-
 let to_dense m =
   let d = Linalg.Mat.create m.rows m.cols in
   for i = 0 to m.rows - 1 do
@@ -223,8 +212,7 @@ let diag m =
   done;
   d
 
-let map_values f m = { m with values = Array.map f m.values }
-let scale s m = map_values (fun v -> s *. v) m
+let scale s m = { m with values = Array.map (fun v -> s *. v) m.values }
 
 let add a b =
   if a.rows <> b.rows || a.cols <> b.cols then invalid_arg "Csr.add: dimension mismatch";

@@ -1,7 +1,12 @@
-(** Immutable compressed-sparse-row matrices.
+(** Compressed-sparse-row matrices.
 
     Column indices within a row are sorted and unique. Built from a
-    {!Coo.t} builder (duplicates summed) or from dense matrices. *)
+    {!Coo.t} builder (duplicates summed). The pattern arrays
+    ([row_ptr], [col_idx]) are never written after construction, so
+    matrices may share them: {!same_pattern} tests physical equality
+    first, and the MPDE assembler hands every grid point of a
+    replicated seed one pattern pair. Only [values] is ever rewritten
+    in place (numeric refreshes such as {!refresh_from_coo}). *)
 
 type t = {
   rows : int;
@@ -34,9 +39,6 @@ val refresh_from_coo : t -> Coo.t -> bool
     falls outside the pattern or the dimensions disagree; the caller
     must then rebuild with {!of_coo}. *)
 
-val of_dense : ?drop_tol:float -> Linalg.Mat.t -> t
-(** Entries with magnitude [<= drop_tol] (default [0.]) are dropped. *)
-
 val to_dense : t -> Linalg.Mat.t
 
 val same_pattern : t -> t -> bool
@@ -64,8 +66,6 @@ val transpose : t -> t
 
 val diag : t -> Linalg.Vec.t
 (** Main diagonal (zeros where absent). *)
-
-val map_values : (float -> float) -> t -> t
 
 val scale : float -> t -> t
 

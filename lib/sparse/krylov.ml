@@ -19,11 +19,14 @@ type result = {
   stop : stop_reason;
 }
 
-(* Preallocated GMRES scratch: the Krylov basis, the column-wise
-   Hessenberg, the Givens rotation coefficients, and the residual /
-   update vectors. Sized for a (restart, n) pair and reused across
-   restart cycles, Newton iterations, and whole solves — nothing is
-   allocated inside the restart loop when one is supplied.
+(* GMRES scratch: the Krylov basis, the column-wise Hessenberg, the
+   Givens rotation coefficients, and the residual / update vectors.
+   Sized for a (restart, n) pair and reused across restart cycles,
+   Newton iterations, and whole solves. Everything but the basis is
+   allocated up front; basis vector [j] is allocated the first time
+   Arnoldi reaches it, so a solve that converges in k iterations holds
+   k+1 vectors, not restart+1. Each one is fully written before it is
+   read, so a reused vector carries nothing into the next call.
 
    The O(n) vectors are Float64 Bigarrays driven by the {!Kernel}
    hot loops; the O(restart) rotation machinery stays in plain float
@@ -31,7 +34,8 @@ type result = {
 type workspace = {
   ws_n : int;
   ws_restart : int;
-  basis : Kernel.vec array;  (* restart+1 vectors of length n *)
+  basis : Kernel.vec array;  (* restart+1 slots; the first [allocated] hold vectors *)
+  mutable allocated : int;
   hcols : Vec.t array;  (* Hessenberg columns; hcols.(j) has length j+2 *)
   cs : Vec.t;
   sn : Vec.t;
@@ -49,7 +53,8 @@ let workspace ~restart ~n =
   {
     ws_n = n;
     ws_restart = restart;
-    basis = Array.init (restart + 1) (fun _ -> Kernel.create n);
+    basis = Array.make (restart + 1) (Kernel.create 0);
+    allocated = 0;
     hcols = Array.init restart (fun j -> Array.make (j + 2) 0.0);
     cs = Array.make restart 0.0;
     sn = Array.make restart 0.0;
@@ -61,6 +66,17 @@ let workspace ~restart ~n =
     bv = Kernel.create n;
     conv_vec = Kernel.create n;
   }
+
+let basis_allocated ws = ws.allocated
+
+(* Basis vector [j], allocated on first use. Arnoldi reaches the
+   vectors in order, so [j] is at most [allocated]. *)
+let basis_vec ws j =
+  if j = ws.allocated then begin
+    ws.basis.(j) <- Kernel.create ws.ws_n;
+    ws.allocated <- j + 1
+  end;
+  ws.basis.(j)
 
 (* Restarted GMRES with right preconditioning and Givens-rotation QR of
    the Hessenberg matrix, on Bigarray vectors.
@@ -156,7 +172,7 @@ let gmres_ba ?(restart = 50) ?(max_iter = 500) ?(tol = 1e-10) ?precond ?budget
        let m = min restart (max_iter - !total_iters) in
        let basis = ws.basis in
        let inv_beta = 1.0 /. beta in
-       Kernel.scale_into inv_beta r basis.(0);
+       Kernel.scale_into inv_beta r (basis_vec ws 0);
        (* Hessenberg stored column-wise: h.(j) has length j+2. *)
        let h = ws.hcols in
        let cs = ws.cs and sn = ws.sn in
@@ -190,7 +206,7 @@ let gmres_ba ?(restart = 50) ?(max_iter = 500) ?(tol = 1e-10) ?precond ?budget
          end
          else begin
            let happy = hj.(j + 1) <= 1e-300 in
-           let bj1 = basis.(j + 1) in
+           let bj1 = basis_vec ws (j + 1) in
            if happy then Kernel.fill bj1 0.0
            else begin
              let inv = 1.0 /. hj.(j + 1) in

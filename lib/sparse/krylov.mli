@@ -25,17 +25,24 @@ type result = {
 }
 
 type workspace
-(** Preallocated GMRES scratch (Krylov basis, Hessenberg columns,
-    rotation coefficients, residual/update vectors) for a fixed
-    [(restart, n)] shape. Reusing one across calls removes every
-    allocation inside the restart loop. A workspace belongs to one
-    solve stream on one domain — it must not be shared concurrently.
-    A workspace carries no state between calls: a reused one gives
-    results bitwise equal to a fresh one. *)
+(** GMRES scratch (Krylov basis, Hessenberg columns, rotation
+    coefficients, residual/update vectors) for a fixed [(restart, n)]
+    shape. Basis vectors are allocated the first time Arnoldi reaches
+    them and kept; everything else up front. Reusing one across calls
+    removes every allocation inside the restart loop once the basis has
+    grown. A workspace belongs to one solve stream on one domain — it
+    must not be shared concurrently. A workspace carries no state
+    between calls: a reused one gives results bitwise equal to a fresh
+    one. *)
 
 val workspace : restart:int -> n:int -> workspace
-(** Allocate scratch for systems of size [n] solved with up to
-    [restart] inner iterations per cycle. *)
+(** Scratch for systems of size [n] solved with up to [restart] inner
+    iterations per cycle. *)
+
+val basis_allocated : workspace -> int
+(** Basis vectors allocated so far: at most [k+1] after calls that ran
+    at most [k] inner iterations per cycle, never more than
+    [restart+1]. *)
 
 val gmres_ba :
   ?restart:int ->

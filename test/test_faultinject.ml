@@ -210,6 +210,26 @@ let test_stage_ptc_ramp () =
   check_rescued ~expect:"ptc-ramp"
     "nan@residual/newton:1,nan@residual/source-ramp:1x9999" (rc_problem ())
 
+let test_nonfinite_jacobian_attribution () =
+  (* An infinite Jacobian row fails the newton rung before the linear
+     solve, and the report names the first offending entry: grid point,
+     unknown and which of G or C. The source ramp then rescues. *)
+  let r = run_mpde ~spec:"illcond@jacobian/newton:1=inf" (rc_problem ()) in
+  Alcotest.(check bool) "converged" true r.Engine.Result.converged;
+  Alcotest.(check string) "rescued by source-ramp" "source-ramp" (strategy r);
+  let newton =
+    List.find
+      (fun (s : Resilience.Report.stage) -> s.Resilience.Report.name = "newton")
+      r.Engine.Result.report.Resilience.Report.stages
+  in
+  match newton.Resilience.Report.status with
+  | `Failed msg ->
+      Alcotest.(check string) "newton stage error"
+        "non-finite value infinity at grid-point 0, unknown 0 (flat 0) during \
+         MPDE G-Jacobian entry (0,0)"
+        msg
+  | `Success | `Skipped -> Alcotest.fail "newton stage did not fail"
+
 let test_sweep_stall_exact_rebuild () =
   (* The sweep preconditioner's own stall rescue, below the ladder:
      stall one GMRES solve while the dense inverses are lagged and
@@ -499,6 +519,8 @@ let () =
             test_catalog_linear_stall_ladder;
           Alcotest.test_case "source-ramp rescue" `Quick test_stage_source_ramp;
           Alcotest.test_case "ptc-ramp rescue" `Quick test_stage_ptc_ramp;
+          Alcotest.test_case "non-finite jacobian attribution" `Quick
+            test_nonfinite_jacobian_attribution;
           Alcotest.test_case "sweep stall exact rebuild" `Quick
             test_sweep_stall_exact_rebuild;
         ] );

@@ -407,16 +407,10 @@ let test_kernel_bitwise_vs_vec () =
   Vec.axpy 1.75 xa ya';
   Kernel.axpy 1.75 x y;
   bits_equal "axpy" ya' (Kernel.to_array y);
-  Kernel.scale_ip 0.3 y;
-  Vec.scale_ip 0.3 ya';
-  bits_equal "scale_ip" ya' (Kernel.to_array y);
   let za = Vec.sub xa ya' in
   let z = Kernel.create n in
   Kernel.sub_into x y z;
-  bits_equal "sub_into" za (Kernel.to_array z);
-  Alcotest.(check bool) "is_finite" true (Kernel.is_finite z);
-  Kernel.set z 5 Float.nan;
-  Alcotest.(check bool) "is_finite nan" false (Kernel.is_finite z)
+  bits_equal "sub_into" za (Kernel.to_array z)
 
 let test_kernel_axpy_dot () =
   (* One fused MGS pass must equal axpy-then-dot bit for bit, both for

@@ -621,6 +621,94 @@ let test_assemble_ws_drift_rebuild () =
   Alcotest.(check int) "rebuilt pattern refreshes in place" 0 count;
   same_as_fresh "refreshed" jacs on'
 
+let test_assemble_ws_replicated_seed () =
+  (* At a replicated seed (the mixer's DC point over the grid) the
+     first workspace build evaluates the devices once and hands every
+     point its own copy of the values over one shared pattern. Each
+     point must still equal a fresh per-point build bitwise. A seed one
+     ulp, or one signed zero, away from replicated must take the
+     per-point path (distinct pattern arrays) and match as well. *)
+  let mna, shear = mixer_fixture () in
+  let sys = Mpde.Assemble.of_mna ~shear mna in
+  let g = Grid.make ~shear ~n1:10 ~n2:6 in
+  let n = sys.Mpde.Assemble.size in
+  let np = Grid.points g in
+  let dc = Circuit.Dcop.solve_exn mna in
+  let surface state = Array.concat (List.init np (fun _ -> state)) in
+  let first_build x =
+    let ws = Mpde.Assemble.workspace Mpde.Assemble.Backward sys g in
+    Mpde.Assemble.point_jacobians_ws ws x
+  in
+  let matches_fresh what x jacs =
+    let fresh = Mpde.Assemble.point_jacobians sys g x in
+    Array.iteri
+      (fun p (gp, cp) ->
+        let gf, cf = fresh.(p) in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: point %d bitwise equal to a fresh build" what p)
+          true
+          (Sparse.Csr.same_pattern gp gf && Sparse.Csr.same_pattern cp cf
+          && float_array_bits_equal gp.Sparse.Csr.values gf.Sparse.Csr.values
+          && float_array_bits_equal cp.Sparse.Csr.values cf.Sparse.Csr.values))
+      jacs
+  in
+  let shared_pattern jacs =
+    let g0, c0 = jacs.(0) in
+    Array.for_all
+      (fun ((gp : Sparse.Csr.t), (cp : Sparse.Csr.t)) ->
+        gp.Sparse.Csr.row_ptr == g0.Sparse.Csr.row_ptr
+        && gp.Sparse.Csr.col_idx == g0.Sparse.Csr.col_idx
+        && cp.Sparse.Csr.row_ptr == c0.Sparse.Csr.row_ptr
+        && cp.Sparse.Csr.col_idx == c0.Sparse.Csr.col_idx)
+      jacs
+  in
+  let seed = surface dc in
+  let jacs = first_build seed in
+  matches_fresh "replicated" seed jacs;
+  Alcotest.(check bool) "one shared pattern" true (shared_pattern jacs);
+  let g0, c0 = jacs.(0) in
+  Alcotest.(check bool) "values owned per point" true
+    (Array.for_all
+       (fun ((gp : Sparse.Csr.t), (cp : Sparse.Csr.t)) ->
+         gp == g0
+         || gp.Sparse.Csr.values != g0.Sparse.Csr.values
+            && cp.Sparse.Csr.values != c0.Sparse.Csr.values)
+       jacs);
+  (* One point one ulp off the replicated state. *)
+  let p = np / 2 and v = n - 1 in
+  let ulp = Array.copy seed in
+  ulp.((p * n) + v) <- Float.succ ulp.((p * n) + v);
+  let jacs = first_build ulp in
+  Alcotest.(check bool) "ulp: per-point patterns" false (shared_pattern jacs);
+  matches_fresh "ulp" ulp jacs;
+  (* 0.0 replicated over the grid, then -0.0 at one point: equal as
+     floats, different bits. *)
+  let zeroed = Array.copy dc in
+  zeroed.(v) <- 0.0;
+  let zero = surface zeroed in
+  Alcotest.(check bool) "0.0 seed: shared pattern" true (shared_pattern (first_build zero));
+  zero.((p * n) + v) <- -0.0;
+  let jacs = first_build zero in
+  Alcotest.(check bool) "-0.0: per-point patterns" false (shared_pattern jacs);
+  matches_fresh "-0.0" zero jacs;
+  (* The full paper solve refreshes every shared-pattern point in
+     place: no point falls back to a from-scratch rebuild. *)
+  Telemetry.enable ();
+  let rebuilds =
+    Fun.protect ~finally:Telemetry.disable (fun () ->
+        let f_lo = 450e6 and fd = 15e3 in
+        let rf_signal, _ = Circuits.paper_rf_bitstream ~f_lo ~fd () in
+        let { Circuits.mna; _ } = Circuits.balanced_mixer ~f_lo ~rf_signal () in
+        let sol = Mpde.Solver.solve_mna ~shear ~n1:40 ~n2:30 mna in
+        Alcotest.(check bool) "40x30 converged" true sol.Mpde.Solver.stats.converged;
+        match Telemetry.snapshot () with
+        | Some s ->
+            Option.value ~default:0
+              (List.assoc_opt "mpde.assemble.jac_rebuilds" s.Telemetry.counters)
+        | None -> Alcotest.fail "telemetry disabled")
+  in
+  Alcotest.(check int) "40x30 jac_rebuilds" 0 rebuilds
+
 let test_solver_workspace_slot_reuse () =
   (* A retained workspace slot (the per-domain sweep cache) must be
      invisible in the results: the second solve through the slot rebinds
@@ -953,6 +1041,8 @@ let () =
             test_assemble_ws_bitwise_refresh;
           Alcotest.test_case "workspace drift rebuild" `Quick
             test_assemble_ws_drift_rebuild;
+          Alcotest.test_case "workspace replicated seed" `Quick
+            test_assemble_ws_replicated_seed;
         ] );
       ( "solver",
         [

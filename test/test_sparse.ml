@@ -64,9 +64,21 @@ let test_csr_tmul_vec () =
   check_float "y0" 3.0 y.(0);
   check_float "y1" 2.0 y.(1)
 
+(* CSR of a dense matrix's nonzero entries. *)
+let csr_of_dense d =
+  let rows, cols = Mat.dims d in
+  let coo = Coo.create rows cols in
+  for i = 0 to rows - 1 do
+    for j = 0 to cols - 1 do
+      let v = Mat.get d i j in
+      if v <> 0.0 then Coo.add coo i j v
+    done
+  done;
+  Csr.of_coo coo
+
 let test_csr_transpose_dense_roundtrip () =
   let d = Mat.of_arrays [| [| 1.0; 0.0; 2.0 |]; [| 0.0; 3.0; 0.0 |] |] in
-  let c = Csr.of_dense d in
+  let c = csr_of_dense d in
   Alcotest.(check bool) "roundtrip" true (Mat.approx_equal d (Csr.to_dense c));
   let t = Csr.transpose c in
   Alcotest.(check bool) "transpose" true
@@ -282,21 +294,65 @@ let test_csr_mul_vec_ba_validates () =
     (Invalid_argument "Csr.mul_vec_ba_into: dimension mismatch") (fun () ->
       Csr.mul_vec_ba_into a (Kernel.create 5) (Kernel.create 4))
 
+(* Three distinct eigenvalues: GMRES converges in at most three
+   iterations. *)
+let three_eigenvalue_diagonal n =
+  let coo = Coo.create n n in
+  for i = 0 to n - 1 do
+    Coo.add coo i i (float_of_int (1 + (i mod 3)))
+  done;
+  Csr.of_coo coo
+
 let test_gmres_dirty_workspace_bitwise () =
   (* A workspace dirtied by an earlier solve carries no state into the
-     next one: the iteration is bitwise the fresh-workspace one. *)
+     next one: the iteration is bitwise the fresh-workspace one. That
+     holds for another right-hand side, and for a workspace grown by a
+     long solve and reused for a short one, or the reverse. *)
   let n = 20 in
-  let a = laplacian_1d n in
+  let long_a = laplacian_1d n and short_a = three_eigenvalue_diagonal n in
   let b = Vec.init n (fun i -> sin (0.7 *. float_of_int i)) in
-  let ws = Sparse.Krylov.workspace ~restart:50 ~n in
   let other = Vec.init n (fun i -> cos (1.3 *. float_of_int i)) in
-  ignore (Sparse.Krylov.gmres_ba ~tol:1e-10 ~workspace:ws (ba_csr_operator a) other);
-  let reused = Sparse.Krylov.gmres_ba ~tol:1e-10 ~workspace:ws (ba_csr_operator a) b in
-  let fresh = Sparse.Krylov.gmres_ba ~tol:1e-10 (ba_csr_operator a) b in
-  Alcotest.(check bool) "bitwise identical" true
-    (float_array_bits_equal reused.Sparse.Krylov.x fresh.Sparse.Krylov.x);
-  Alcotest.(check int) "same iterations" fresh.Sparse.Krylov.iterations
-    reused.Sparse.Krylov.iterations
+  List.iter
+    (fun (what, (first, rhs1), second) ->
+      let ws = Sparse.Krylov.workspace ~restart:50 ~n in
+      ignore
+        (Sparse.Krylov.gmres_ba ~tol:1e-10 ~workspace:ws (ba_csr_operator first) rhs1);
+      let reused =
+        Sparse.Krylov.gmres_ba ~tol:1e-10 ~workspace:ws (ba_csr_operator second) b
+      in
+      let fresh = Sparse.Krylov.gmres_ba ~tol:1e-10 (ba_csr_operator second) b in
+      Alcotest.(check bool) (what ^ ": bitwise identical") true
+        (float_array_bits_equal reused.Sparse.Krylov.x fresh.Sparse.Krylov.x);
+      Alcotest.(check int) (what ^ ": same iterations") fresh.Sparse.Krylov.iterations
+        reused.Sparse.Krylov.iterations)
+    [
+      ("other rhs", (long_a, other), long_a);
+      ("long then short", (long_a, other), short_a);
+      ("short then long", (short_a, other), long_a);
+    ]
+
+let test_gmres_basis_on_demand () =
+  (* A workspace allocates a basis vector only when Arnoldi first
+     reaches it: a restart-60 solve that converges in k iterations
+     leaves at most k+1 vectors. *)
+  let n = 40 in
+  let b = Vec.init n (fun i -> sin (0.7 *. float_of_int i)) in
+  List.iter
+    (fun (what, a) ->
+      let ws = Sparse.Krylov.workspace ~restart:60 ~n in
+      Alcotest.(check int) (what ^ ": none up front") 0
+        (Sparse.Krylov.basis_allocated ws);
+      let r =
+        Sparse.Krylov.gmres_ba ~restart:60 ~tol:1e-10 ~workspace:ws
+          (ba_csr_operator a) b
+      in
+      let k = r.Sparse.Krylov.iterations in
+      Alcotest.(check bool) (what ^ ": converged within one cycle") true
+        (r.Sparse.Krylov.converged && k < 60);
+      let held = Sparse.Krylov.basis_allocated ws in
+      if held > k + 1 then
+        Alcotest.failf "%s: %d basis vectors after %d iterations" what held k)
+    [ ("three eigenvalues", three_eigenvalue_diagonal n); ("laplacian", laplacian_1d n) ]
 
 (* ---------- properties ---------- *)
 
@@ -395,6 +451,7 @@ let () =
             test_csr_mul_vec_ba_validates;
           Alcotest.test_case "dirty workspace bitwise" `Quick
             test_gmres_dirty_workspace_bitwise;
+          Alcotest.test_case "basis on demand" `Quick test_gmres_basis_on_demand;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
