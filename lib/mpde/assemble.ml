@@ -304,44 +304,39 @@ let residual_ws ws ~sources big_x =
     ~sources r;
   r
 
-(* Does every grid point's state carry point 0's IEEE bits? Bits, not
+(* Does grid point [p]'s state carry point 0's IEEE bits? Bits, not
    float equality: -0.0 and 0.0 may stamp differently, and a NaN state
    never equals itself. *)
-let replicated ~n ~np big_x =
-  let same = ref true and p = ref 1 in
-  while !same && !p < np do
-    let base = !p * n in
-    for v = 0 to n - 1 do
-      if
-        not
-          (Int64.equal
-             (Int64.bits_of_float big_x.(base + v))
-             (Int64.bits_of_float big_x.(v)))
-      then same := false
-    done;
-    incr p
+let same_state_as_first ~n big_x p =
+  let base = p * n and v = ref 0 in
+  while
+    !v < n
+    && Int64.equal
+         (Int64.bits_of_float big_x.(base + !v))
+         (Int64.bits_of_float big_x.(!v))
+  do
+    incr v
   done;
-  !same
+  !v = n
 
 let point_jacobians_ws ws big_x =
   Telemetry.span "mpde.assemble.jacobians" @@ fun () ->
-  let np = ws.ws_np in
+  let n = ws.ws_n and np = ws.ws_np in
   if Array.length ws.jacs <> np then begin
-    if replicated ~n:ws.ws_n ~np big_x then begin
-      (* Replicated seed (the DC point over the grid): the devices see
-         bit-identical states, so one evaluation gives every point's
-         values. Each point owns a copy of them, over one shared
-         pattern that nothing writes after construction. *)
-      let ((g0, c0) as j0) = ws.ws_sys.jacobians (state_of ~size:ws.ws_n big_x 0) in
-      let copy (m : Sparse.Csr.t) =
-        { m with Sparse.Csr.values = Array.copy m.Sparse.Csr.values }
-      in
-      ws.jacs <- Array.init np (fun p -> if p = 0 then j0 else (copy g0, copy c0))
-    end
-    else
-      ws.jacs <-
-        Array.init np (fun p ->
-            ws.ws_sys.jacobians (state_of ~size:ws.ws_n big_x p))
+    (* First build. A point whose state has point 0's bits (every point
+       of a replicated seed, such as the DC point over the grid) gets a
+       copy of point 0's values over point 0's pattern, which nothing
+       writes after construction: bitwise what evaluating its devices
+       would give. Every other point is built from its own state. *)
+    let ((g0, c0) as j0) = ws.ws_sys.jacobians (state_of ~size:n big_x 0) in
+    let copy (m : Sparse.Csr.t) =
+      { m with Sparse.Csr.values = Array.copy m.Sparse.Csr.values }
+    in
+    ws.jacs <-
+      Array.init np (fun p ->
+          if p = 0 then j0
+          else if same_state_as_first ~n big_x p then (copy g0, copy c0)
+          else ws.ws_sys.jacobians (state_of ~size:n big_x p))
   end
   else begin
     match ws.refresh_jacs with

@@ -111,12 +111,12 @@ val point_jacobians_ws :
     instances are refreshed in place via the system's
     [fast.jacobian_refresher] (falling back to a from-scratch rebuild
     of any point whose sparsity drifted, or of every point when the
-    system has no fast interface). When every point's state in the
-    first call has point 0's IEEE bits (a replicated seed), the
-    devices are evaluated once and each point gets its own copy of the
-    values over one shared pattern — bitwise the per-point build. The
-    returned array and its matrices are owned by the workspace and
-    overwritten by the next call. *)
+    system has no fast interface). In the first call, every point
+    whose state has point 0's IEEE bits gets its own copy of point 0's
+    values over point 0's pattern — bitwise the per-point build — so a
+    replicated seed evaluates the devices once. The returned array and
+    its matrices are owned by the workspace and overwritten by the
+    next call. *)
 
 val jacobian_ws : workspace -> Sparse.Csr.t
 (** Global sparse Jacobian stamped from the workspace's current

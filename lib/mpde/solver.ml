@@ -717,42 +717,39 @@ let solve_linear ~ws ~linear_solver ~scheme ~budget (g : Grid.t) ~jacs ~extra_di
       else stalled result)
 
 (* Scan per-point Jacobian blocks before they reach the linear solver:
-   a NaN entry in G or C would otherwise poison GMRES silently. A flat
-   pass over the value arrays clears the common case; only when it
-   meets a non-finite value does the row-by-row scan run to name the
-   first offending entry. *)
+   a NaN entry in G or C would otherwise poison GMRES silently. Each
+   value array is scanned flat; CSR is row-major, so the first
+   non-finite slot is the first offending entry in row order, and its
+   row is looked up in [row_ptr] only then. *)
 let check_jacobians_finite ~n jacs =
-  let values_finite (m : Sparse.Csr.t) =
+  let check_csr p which (m : Sparse.Csr.t) =
     let v = m.Sparse.Csr.values in
-    let ok = ref true in
     for k = 0 to Array.length v - 1 do
-      if not (Float.is_finite (Array.unsafe_get v k)) then ok := false
-    done;
-    !ok
+      if not (Float.is_finite (Array.unsafe_get v k)) then begin
+        let i = ref 0 in
+        while m.Sparse.Csr.row_ptr.(!i + 1) <= k do
+          incr i
+        done;
+        let i = !i in
+        raise
+          (Guard.Non_finite
+             {
+               Guard.index = (p * n) + i;
+               value = v.(k);
+               block = Some p;
+               offset = Some i;
+               context =
+                 Printf.sprintf "MPDE %s-Jacobian entry (%d,%d)" which i
+                   m.Sparse.Csr.col_idx.(k);
+             })
+      end
+    done
   in
-  if not (Array.for_all (fun (gp, cp) -> values_finite gp && values_finite cp) jacs)
-  then
-    Array.iteri
-      (fun p (gp, cp) ->
-        let check_csr which (m : Sparse.Csr.t) =
-          for i = 0 to n - 1 do
-            Sparse.Csr.iter_row m i (fun j v ->
-                if not (Float.is_finite v) then
-                  raise
-                    (Guard.Non_finite
-                       {
-                         Guard.index = (p * n) + i;
-                         value = v;
-                         block = Some p;
-                         offset = Some i;
-                         context =
-                           Printf.sprintf "MPDE %s-Jacobian entry (%d,%d)" which i j;
-                       }))
-          done
-        in
-        check_csr "G" gp;
-        check_csr "C" cp)
-      jacs
+  Array.iteri
+    (fun p (gp, cp) ->
+      check_csr p "G" gp;
+      check_csr p "C" cp)
+    jacs
 
 (* Pseudo-transient loading: residual gains [alpha·(x − anchor)] and the
    Jacobian [alpha·I], pulling the iterate toward the anchor while

@@ -28,19 +28,11 @@ let linear ~g ~c ~source =
           eval_q_into = (fun x out -> Sparse.Csr.mul_vec_into c x out);
           jacobian_refresher =
             (fun () ->
-              (* The Jacobians are constant: a refresh copies their
-                 values into any matrix with the same pattern (a no-op
-                 on the two instances [jacobians] hands out). *)
-              let refresh (m : Sparse.Csr.t) (m' : Sparse.Csr.t) =
-                Sparse.Csr.same_pattern m' m
-                && begin
-                     if m' != m then
-                       Array.blit m.Sparse.Csr.values 0 m'.Sparse.Csr.values 0
-                         (Array.length m.Sparse.Csr.values);
-                     true
-                   end
-              in
-              fun _x ~g:g' ~c:c' -> refresh g g' && refresh c c');
+              (* The Jacobians are constant and [jacobians] always hands
+                 out the same two matrices, so a refresh is a no-op as
+                 long as the caller still holds those instances. *)
+              fun _x ~g:g' ~c:c' ->
+                g' == g && c' == c);
         };
   }
 

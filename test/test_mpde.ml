@@ -625,9 +625,10 @@ let test_assemble_ws_replicated_seed () =
   (* At a replicated seed (the mixer's DC point over the grid) the
      first workspace build evaluates the devices once and hands every
      point its own copy of the values over one shared pattern. Each
-     point must still equal a fresh per-point build bitwise. A seed one
-     ulp, or one signed zero, away from replicated must take the
-     per-point path (distinct pattern arrays) and match as well. *)
+     point must still equal a fresh per-point build bitwise. A point
+     one ulp, or one signed zero, away from point 0's state must be
+     built from its own state (its own pattern arrays) while the rest
+     still share, and every point must match as well. *)
   let mna, shear = mixer_fixture () in
   let sys = Mpde.Assemble.of_mna ~shear mna in
   let g = Grid.make ~shear ~n1:10 ~n2:6 in
@@ -652,15 +653,18 @@ let test_assemble_ws_replicated_seed () =
           && float_array_bits_equal cp.Sparse.Csr.values cf.Sparse.Csr.values))
       jacs
   in
-  let shared_pattern jacs =
+  let shares_first jacs ((gp : Sparse.Csr.t), (cp : Sparse.Csr.t)) =
     let g0, c0 = jacs.(0) in
-    Array.for_all
-      (fun ((gp : Sparse.Csr.t), (cp : Sparse.Csr.t)) ->
-        gp.Sparse.Csr.row_ptr == g0.Sparse.Csr.row_ptr
-        && gp.Sparse.Csr.col_idx == g0.Sparse.Csr.col_idx
-        && cp.Sparse.Csr.row_ptr == c0.Sparse.Csr.row_ptr
-        && cp.Sparse.Csr.col_idx == c0.Sparse.Csr.col_idx)
-      jacs
+    gp.Sparse.Csr.row_ptr == g0.Sparse.Csr.row_ptr
+    && gp.Sparse.Csr.col_idx == g0.Sparse.Csr.col_idx
+    && cp.Sparse.Csr.row_ptr == c0.Sparse.Csr.row_ptr
+    && cp.Sparse.Csr.col_idx == c0.Sparse.Csr.col_idx
+  in
+  let shared_pattern jacs = Array.for_all (shares_first jacs) jacs in
+  (* Exactly point [p] is built from its own state. *)
+  let own_pattern_only p jacs =
+    Array.for_all Fun.id
+      (Array.mapi (fun q j -> q = 0 || shares_first jacs j <> (q = p)) jacs)
   in
   let seed = surface dc in
   let jacs = first_build seed in
@@ -679,7 +683,7 @@ let test_assemble_ws_replicated_seed () =
   let ulp = Array.copy seed in
   ulp.((p * n) + v) <- Float.succ ulp.((p * n) + v);
   let jacs = first_build ulp in
-  Alcotest.(check bool) "ulp: per-point patterns" false (shared_pattern jacs);
+  Alcotest.(check bool) "ulp: only that point builds" true (own_pattern_only p jacs);
   matches_fresh "ulp" ulp jacs;
   (* 0.0 replicated over the grid, then -0.0 at one point: equal as
      floats, different bits. *)
@@ -689,7 +693,7 @@ let test_assemble_ws_replicated_seed () =
   Alcotest.(check bool) "0.0 seed: shared pattern" true (shared_pattern (first_build zero));
   zero.((p * n) + v) <- -0.0;
   let jacs = first_build zero in
-  Alcotest.(check bool) "-0.0: per-point patterns" false (shared_pattern jacs);
+  Alcotest.(check bool) "-0.0: only that point builds" true (own_pattern_only p jacs);
   matches_fresh "-0.0" zero jacs;
   (* The full paper solve refreshes every shared-pattern point in
      place: no point falls back to a from-scratch rebuild. *)

@@ -180,24 +180,6 @@ let test_dae_residual () =
   let r = Numeric.Dae.residual dae ~x:[| 2.0 |] ~qdot:[| 0.0 |] ~t_now:0.0 in
   check_float "residual" 0.0 r.(0)
 
-let test_dae_linear_refresh () =
-  (* The constant Jacobians refresh into any matrix with their pattern
-     (a grid point's value copy), not only into the two instances
-     [jacobians] hands out; another pattern still reads as drift. *)
-  let dae = rc_dae ~r:2.0 ~c:1e-3 ~b:(fun _ -> 0.0) in
-  let refresh = (Option.get dae.Numeric.Dae.fast).Numeric.Dae.jacobian_refresher () in
-  let g, c = dae.Numeric.Dae.jacobians [| 0.0 |] in
-  let blank (m : Sparse.Csr.t) =
-    { m with Sparse.Csr.values = Array.make (Array.length m.Sparse.Csr.values) 0.0 }
-  in
-  let g' = blank g and c' = blank c in
-  Alcotest.(check bool) "copy refreshes" true (refresh [| 1.0 |] ~g:g' ~c:c');
-  check_float "G value" 0.5 g'.Sparse.Csr.values.(0);
-  check_float "C value" 1e-3 c'.Sparse.Csr.values.(0);
-  Alcotest.(check bool) "own instances refresh" true (refresh [| 1.0 |] ~g ~c);
-  let other = Sparse.Csr.of_coo (Sparse.Coo.create 1 1) in
-  Alcotest.(check bool) "other pattern drifts" false (refresh [| 1.0 |] ~g:other ~c:c')
-
 let test_be_step_decay () =
   (* dx/dt = -x (R=C=1, b=0): BE gives x1 = x0/(1+h). *)
   let dae = rc_dae ~r:1.0 ~c:1.0 ~b:(fun _ -> 0.0) in
@@ -412,7 +394,6 @@ let () =
       ( "integrator",
         [
           Alcotest.test_case "dae residual" `Quick test_dae_residual;
-          Alcotest.test_case "dae linear refresh" `Quick test_dae_linear_refresh;
           Alcotest.test_case "BE single step" `Quick test_be_step_decay;
           Alcotest.test_case "trapezoidal order" `Quick test_trap_second_order;
           Alcotest.test_case "bdf2 order" `Quick test_bdf2_order;
